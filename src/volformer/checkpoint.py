@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
 
-from .errors import CheckpointMismatchError, FormatError
+from .errors import CheckpointMismatchError, ConfigError, FormatError
 from .model import ModelConfig, ModelParams
 
 MAGIC = b"VVCK"
@@ -40,7 +41,11 @@ def _config_json(config: ModelConfig) -> bytes:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Write params (and their config) to a VVCK file."""
+    """Write params (and their config) to a VVCK file.
+
+    The bytes go to a sibling temp file that then replaces `path`, so a
+    write that fails partway leaves any previous file at `path` intact.
+    """
     named = params.named_parameters()
     blob = bytearray()
     blob += MAGIC
@@ -58,8 +63,10 @@ def save_checkpoint(path, params: ModelParams) -> None:
         for extent in arr.shape:
             blob += struct.pack("<I", extent)
         blob += arr.tobytes()
-    with open(path, "wb") as fh:
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(bytes(blob))
+    os.replace(tmp, path)
 
 
 class _Reader:
@@ -105,13 +112,18 @@ def read_raw_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     cfg_bytes = r.take(cfg_len, "config JSON")
     try:
         config = ModelConfig(**json.loads(cfg_bytes.decode("utf-8")))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
     count = r.u32("array count")
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u16("name length")
-        name = r.take(name_len, "array name").decode("utf-8")
+        start = r.offset
+        try:
+            name = r.take(name_len, "array name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(
+                f"{path}: array name at byte {start} is not UTF-8: {exc}") from exc
         rank = r.u8(f"rank of '{name}'")
         shape = tuple(r.u32(f"extent of '{name}'") for _ in range(rank))
         n = int(np.prod(shape)) if shape else 1

@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+
+from .errors import require_int_fields
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -43,11 +46,17 @@ class SynthConfig:
     noise_sigma: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        require_int_fields(self)
+
 
 @dataclasses.dataclass(frozen=True)
 class PreprocessConfig:
     normalize: str = "minmax"
     central_slices: int | None = None  # defaults to model.slices
+
+    def __post_init__(self):
+        require_int_fields(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -162,9 +171,7 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
             built[section] = cls(**values[section])
         except TypeError as exc:
             raise ConfigError(f"bad value in section '{section}': {exc}") from exc
-    return RunConfig(model=built["model"], train=built["train"], split=built["split"],
-                     synth=built["synth"], preprocess=built["preprocess"],
-                     paths=built["paths"], model_overridden=model_overridden)
+    return RunConfig(**built, model_overridden=model_overridden)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,12 @@ def _save_manifest(manifest, path) -> None:
         rebased.append(dataclasses.replace(e, path=os.path.relpath(absolute, target_dir)))
     type(manifest)(entries=rebased, class_names=manifest.class_names,
                    base_dir=target_dir).save(path)
+
+
+def _write_report(rep, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rep.to_dict(), fh, indent=2)
+        fh.write("\n")
 
 
 def _load_manifest(run: RunConfig):
@@ -304,20 +317,29 @@ def _split_manifest_if_needed(run: RunConfig, manifest, args):
     return manifest
 
 
-def cmd_train(run: RunConfig, args) -> int:
+def _train_fresh(run: RunConfig, manifest, train_entries, val_entries, stream_ids,
+                 **outputs):
+    """Train parameters initialized from derive_seed(train.seed, *stream_ids)
+    on the given manifest entries; `outputs` go to training.train."""
     from .model import ModelParams
     from .rng import derive_seed
     from .training import train
 
+    params = ModelParams.initialize(run.model, seed=derive_seed(run.train.seed, *stream_ids))
+    return train(params, run.model, manifest.load_volumes(train_entries),
+                 manifest.load_volumes(val_entries), run.train, **outputs)
+
+
+def cmd_train(run: RunConfig, args) -> int:
+    from .model import count_params
+
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
-    train_vols = manifest.load_volumes(manifest.subset("train"))
-    val_vols = manifest.load_volumes(manifest.subset("val"))
+    train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
     checkpoint_path = _default_checkpoint(run)
     _refuse_existing([checkpoint_path, run.paths.history], args.force)
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
-    params = ModelParams.initialize(run.model, seed=derive_seed(run.train.seed, 0))
-    _progress(args, f"training on {len(train_vols)} volumes, validating on "
-                    f"{len(val_vols)} ({params.num_params()} parameters)")
+    _progress(args, f"training on {len(train_entries)} volumes, validating on "
+                    f"{len(val_entries)} ({count_params(run.model)} parameters)")
 
     def on_epoch(row):
         marker = " *" if row["checkpointed"] else ""
@@ -326,9 +348,9 @@ def cmd_train(run: RunConfig, args) -> int:
                         f"val_loss={row['val_loss']:.6f} "
                         f"val_acc={row['val_acc']:.4f}{marker}")
 
-    result = train(params, run.model, train_vols, val_vols, run.train,
-                   checkpoint_path=checkpoint_path, history_path=run.paths.history,
-                   on_epoch=on_epoch)
+    result = _train_fresh(run, manifest, train_entries, val_entries, (0,),
+                          checkpoint_path=checkpoint_path,
+                          history_path=run.paths.history, on_epoch=on_epoch)
     print(json.dumps({"checkpoint": checkpoint_path, "history": run.paths.history,
                       "monitor": run.train.monitor, "best_epoch": result.best_epoch,
                       "best_value": result.best_value}))
@@ -360,9 +382,7 @@ def cmd_eval(run: RunConfig, args) -> int:
     cm = _evaluate_entries(manifest, entries, params, config, run.train.batch_size)
     rep = report([cm])
     _refuse_existing([run.paths.report], args.force)
-    with open(run.paths.report, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_report(rep, run.paths.report)
     _progress(args, f"report written to {run.paths.report}")
     print(rep.render_text(), end="")
     return EXIT_OK
@@ -372,9 +392,7 @@ def cmd_cv(run: RunConfig, args) -> int:
     from .checkpoint import load_checkpoint
     from .data import carve_validation, make_folds
     from .metrics import report
-    from .model import ModelParams
     from .rng import derive_seed
-    from .training import train
 
     manifest = _load_manifest(run)
     k = run.split.folds
@@ -398,30 +416,20 @@ def cmd_cv(run: RunConfig, args) -> int:
                 fold.train_val, inner_val_fraction,
                 seed=derive_seed(run.split.seed, rep, i),
                 num_classes=run.model.num_classes)
-            params = ModelParams.initialize(
-                run.model, seed=derive_seed(run.train.seed, rep, i))
             ckpt = os.path.join(run.paths.checkpoint_dir, f"cv_rep{rep}_fold{i}.vvck")
-            if not args.force and os.path.exists(ckpt):
-                raise FileExistsError(f"refusing to overwrite '{ckpt}'; pass --force")
-            train(params, run.model,
-                  manifest.load_volumes(train_entries),
-                  manifest.load_volumes(val_entries),
-                  run.train, checkpoint_path=ckpt)
+            _refuse_existing([ckpt], args.force)
+            _train_fresh(run, manifest, train_entries, val_entries, (rep, i),
+                         checkpoint_path=ckpt)
             _, best_params = load_checkpoint(ckpt)
             cm = _evaluate_entries(manifest, fold.test, best_params, run.model,
                                    run.train.batch_size)
             matrices.append(cm)
             fold_report = report([cm])
-            path = fold_report_paths[r * k + i]
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(fold_report.to_dict(), fh, indent=2)
-                fh.write("\n")
+            _write_report(fold_report, fold_report_paths[r * k + i])
             _progress(args, f"repetition {rep} fold {i + 1}/{k}: "
                             f"test_acc={fold_report.accuracy_mean:.4f}")
     aggregate = report(matrices)
-    with open(run.paths.report, "w", encoding="utf-8") as fh:
-        json.dump(aggregate.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_report(aggregate, run.paths.report)
     _progress(args, f"aggregate report written to {run.paths.report}")
     print(aggregate.render_text(), end="")
     return EXIT_OK
@@ -466,9 +474,7 @@ def cmd_inspect(run: RunConfig, args) -> int:
         config = run.model
     total = 0
     for name, shape in parameter_shapes(config):
-        size = 1
-        for extent in shape:
-            size *= extent
+        size = math.prod(shape)
         total += size
         print(f"{name:<28} {'x'.join(str(s) for s in shape):>12} {size:>10}")
     closed_form = count_params(config)

@@ -21,12 +21,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import (ConfigError, DataError, FormatError, NumericError,
+                     require_int_fields)
 from .rng import Rng, derive_seed
 
 VVOL_MAGIC = b"VVOL"
@@ -214,9 +215,7 @@ class DatasetManifest:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for e in self.entries:
-                record = {"path": e.path, "label": e.label,
-                          "subject_id": e.subject_id, "split": e.split}
-                fh.write(json.dumps(record) + "\n")
+                fh.write(json.dumps(asdict(e)) + "\n")
 
     @classmethod
     def load(cls, path, class_names: Sequence[str] = DEFAULT_CLASS_NAMES
@@ -236,12 +235,16 @@ class DatasetManifest:
                 unknown = set(record) - {"path", "label", "subject_id", "split"}
                 if unknown:
                     raise FormatError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
+                for key, value in record.items():
+                    if key == "label":
+                        ok = type(value) is int  # bool is an int subclass
+                    else:
+                        ok = isinstance(value, str) or (value is None and key != "path")
+                    if not ok:
+                        raise FormatError(f"{path}:{lineno}: bad {key} {value!r}")
                 try:
-                    entries.append(ManifestEntry(
-                        path=record["path"], label=int(record["label"]),
-                        subject_id=record.get("subject_id"),
-                        split=record.get("split")))
-                except (KeyError, TypeError, ValueError) as exc:
+                    entries.append(ManifestEntry(**record))
+                except TypeError as exc:
                     raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
         manifest = cls(entries=entries, class_names=tuple(class_names),
                        base_dir=os.path.dirname(os.path.abspath(path)))
@@ -276,6 +279,7 @@ class SplitSpec:
     repetition: int = 0
 
     def __post_init__(self):
+        require_int_fields(self)
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0 for f in fractions):
             raise ConfigError(f"split fractions must all be positive, got {fractions}")
@@ -300,10 +304,11 @@ def _split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def _entries_by_class(manifest: DatasetManifest) -> dict[int, list[int]]:
-    by_class: dict[int, list[int]] = {c: [] for c in range(manifest.num_classes)}
-    for i, entry in enumerate(manifest.entries):
-        if not 0 <= entry.label < manifest.num_classes:
+def _entries_by_class(entries: Sequence[ManifestEntry], num_classes: int
+                      ) -> dict[int, list[int]]:
+    by_class: dict[int, list[int]] = {c: [] for c in range(num_classes)}
+    for i, entry in enumerate(entries):
+        if not 0 <= entry.label < num_classes:
             raise DataError(f"label {entry.label} out of range for {entry.path}")
         by_class[entry.label].append(i)
     return by_class
@@ -319,7 +324,7 @@ def stratified_split(manifest: DatasetManifest, spec: SplitSpec) -> DatasetManif
     With stratify_by='subject' whole subjects move together and the
     counts are filled greedily to those same targets.
     """
-    by_class = _entries_by_class(manifest)
+    by_class = _entries_by_class(manifest.entries, manifest.num_classes)
     if spec.stratify_by == "subject":
         subject_labels: dict[str, set[int]] = {}
         for entry in manifest.entries:
@@ -380,11 +385,7 @@ def carve_validation(entries: Sequence[ManifestEntry], val_fraction: float,
     """
     if not 0 < val_fraction < 1:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    by_class: dict[int, list[int]] = {c: [] for c in range(num_classes)}
-    for i, entry in enumerate(entries):
-        if not 0 <= entry.label < num_classes:
-            raise DataError(f"label {entry.label} out of range for {entry.path}")
-        by_class[entry.label].append(i)
+    by_class = _entries_by_class(entries, num_classes)
     rng = Rng(seed)
     val_idx = set()
     for label in sorted(by_class):
@@ -417,7 +418,7 @@ def make_folds(manifest: DatasetManifest, k: int = 10, seed: int = 0) -> list[Fo
     """
     if k < 2:
         raise ConfigError("fold count must be >= 2")
-    by_class = _entries_by_class(manifest)
+    by_class = _entries_by_class(manifest.entries, manifest.num_classes)
     rng = Rng(seed)
     blocks_per_class: dict[int, list[list[int]]] = {}
     for label in sorted(by_class):

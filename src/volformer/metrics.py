@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import UsageError
 
-DEFAULT_CLASS_NAMES = ("NC", "MCI", "AD")
-
 
 class ConfusionMatrix:
     """Per-class counts; rows are true classes, columns predictions."""
@@ -136,7 +134,7 @@ class MetricsReport:
     macro: dict
     micro: dict
     confusion: list[list[int]]
-    class_names: tuple[str, ...] = DEFAULT_CLASS_NAMES
+    class_names: tuple[str, ...]
     fold_accuracies: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:

@@ -11,6 +11,11 @@ the final token embeddings by their mean and reproduces the reference
 parameter count exactly; `cls_token` prepends a learned classification
 token (with its own positional row) and classifies from its final
 embedding, which costs 2*embed_dim extra parameters.
+
+Everything is batch-first: volumes arrive as [B, T, H, W, C] and token
+activations are [B, N, embed_dim]. Weights are looked up by the
+canonical names of parameter_shapes; encoder block i reads the names
+under the prefix "layers.i.".
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointMismatchError, ConfigError, DimensionError
+from .errors import (CheckpointMismatchError, ConfigError, DimensionError,
+                     require_int_fields)
 from .rng import Rng
 
 POOLING_MODES = ("global_average", "cls_token")
@@ -50,6 +56,7 @@ class ModelConfig:
     num_classes: int = 3
 
     def __post_init__(self):
+        require_int_fields(self)
         for name in ("slices", "height", "width", "channels",
                      "patch_slices", "patch_height", "patch_width"):
             if getattr(self, name) < 1:
@@ -176,48 +183,18 @@ def count_params(config: ModelConfig) -> int:
     return total
 
 
-class EncoderLayerParams:
-    """Weights of one encoder block, views into ModelParams arrays."""
-
-    __slots__ = ("ln1_gamma", "ln1_beta", "q_weight", "q_bias", "k_weight", "k_bias",
-                 "v_weight", "v_bias", "out_weight", "out_bias", "ln2_gamma", "ln2_beta",
-                 "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2")
-
-    def __init__(self, arrays: dict[str, T.Tensor], index: int):
-        prefix = f"layers.{index}."
-        self.ln1_gamma = arrays[prefix + "ln1.gamma"]
-        self.ln1_beta = arrays[prefix + "ln1.beta"]
-        self.q_weight = arrays[prefix + "attn.q_weight"]
-        self.q_bias = arrays[prefix + "attn.q_bias"]
-        self.k_weight = arrays[prefix + "attn.k_weight"]
-        self.k_bias = arrays[prefix + "attn.k_bias"]
-        self.v_weight = arrays[prefix + "attn.v_weight"]
-        self.v_bias = arrays[prefix + "attn.v_bias"]
-        self.out_weight = arrays[prefix + "attn.out_weight"]
-        self.out_bias = arrays[prefix + "attn.out_bias"]
-        self.ln2_gamma = arrays[prefix + "ln2.gamma"]
-        self.ln2_beta = arrays[prefix + "ln2.beta"]
-        self.ffn_w1 = arrays[prefix + "ffn.w1"]
-        self.ffn_b1 = arrays[prefix + "ffn.b1"]
-        self.ffn_w2 = arrays[prefix + "ffn.w2"]
-        self.ffn_b2 = arrays[prefix + "ffn.b2"]
-
-
 class ModelParams:
-    """All learnable weights, addressable by canonical name."""
+    """All learnable weights as leaf tensors, in canonical order.
+
+    `params[name]` is the tensor for a name from parameter_shapes.
+    """
 
     def __init__(self, config: ModelConfig, arrays: dict[str, T.Tensor]):
         self.config = config
         self._arrays = arrays
-        self.embed_weight = arrays["embed.weight"]
-        self.embed_bias = arrays["embed.bias"]
-        self.pos_embed = arrays["pos_embed"]
-        self.cls_token = arrays.get("cls_token")
-        self.layers = [EncoderLayerParams(arrays, i) for i in range(config.num_layers)]
-        self.final_gamma = arrays["final_norm.gamma"]
-        self.final_beta = arrays["final_norm.beta"]
-        self.head_weight = arrays["head.weight"]
-        self.head_bias = arrays["head.bias"]
+
+    def __getitem__(self, name: str) -> T.Tensor:
+        return self._arrays[name]
 
     @classmethod
     def _build(cls, config: ModelConfig, dtype, fill) -> "ModelParams":
@@ -248,21 +225,6 @@ class ModelParams:
             return np.zeros(shape)
 
         return cls._build(config, dtype, fill)
-
-    def replace_array(self, name: str, tensor: T.Tensor) -> "ModelParams":
-        """A ModelParams sharing every array except `name`, swapped for
-        `tensor`. Lets verification code differentiate with respect to a
-        single parameter array."""
-        if name not in self._arrays:
-            raise CheckpointMismatchError(f"unknown parameter array '{name}'")
-        if tensor.shape != self._arrays[name].shape:
-            raise DimensionError(
-                f"replacement for '{name}' has shape {tensor.shape}, "
-                f"expected {self._arrays[name].shape}"
-            )
-        arrays = dict(self._arrays)
-        arrays[name] = tensor
-        return ModelParams(self.config, arrays)
 
     @classmethod
     def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
@@ -296,17 +258,13 @@ class ModelParams:
         return cls(config, arrays)
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
-        return [(name, self._arrays[name]) for name, _ in parameter_shapes(self.config)]
+        return list(self._arrays.items())
 
     def tensors(self) -> list[T.Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self._arrays.values())
 
     def num_params(self) -> int:
         return sum(t.size for t in self.tensors())
-
-    @property
-    def dtype(self):
-        return self.embed_weight.dtype
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +272,15 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def _voxels_of(volume) -> np.ndarray:
-    arr = volume.voxels if hasattr(volume, "voxels") else np.asarray(volume)
-    if arr.ndim != 4:
-        raise DimensionError(f"expected a T,H,W,C volume, got rank {arr.ndim}")
-    return arr
+def extract_tubelets(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch.
 
-
-def _extract_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Tubelet tokens for a [B,T,H,W,C] array -> [B, N, token_width]."""
+    Tokens are ordered slice-block-major, then height, then width; within
+    a token the voxel order is (t, h, w, c) row-major. Together a
+    volume's tokens are a bijective rearrangement of the (cropped)
+    volume; trailing voxels that do not fill a tubelet are cropped with
+    a warning.
+    """
     b, t, h, w, c = batch.shape
     gt = t // config.patch_slices
     gh = h // config.patch_height
@@ -337,7 +295,7 @@ def _extract_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
         warnings.warn(
             f"volume extents {(t, h, w)} not divisible by patch extents; "
             f"cropping to {kept}",
-            stacklevel=3,
+            stacklevel=2,
         )
         batch = batch[:, :kept[0], :kept[1], :kept[2], :]
     tokens = batch.reshape(b, gt, config.patch_slices, gh, config.patch_height,
@@ -346,69 +304,34 @@ def _extract_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
     return tokens.reshape(b, gt * gh * gw, config.token_width)
 
 
-def extract_tubelets(volume, config: ModelConfig) -> np.ndarray:
-    """Flatten a volume into its token matrix [N, token_width].
+def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Tensor:
+    """Project [B, N, token_width] tokens to the embedding space and add
+    positional rows.
 
-    Tokens are ordered slice-block-major, then height, then width; within
-    a token the voxel order is (t, h, w, c) row-major. Together the
-    tokens are a bijective rearrangement of the (cropped) volume.
+    Under cls_token pooling the learned classification row is prepended
+    with its own positional row.
     """
-    arr = _voxels_of(volume)
-    return _extract_batch(arr[None], config)[0]
-
-
-def _as_batch_array(volumes, config: ModelConfig) -> np.ndarray:
-    if isinstance(volumes, np.ndarray) and volumes.ndim == 5:
-        batch = volumes
-    else:
-        if isinstance(volumes, np.ndarray) and volumes.ndim == 4:
-            volumes = [volumes]
-        elif hasattr(volumes, "voxels"):
-            volumes = [volumes]
-        batch = np.stack([_voxels_of(v) for v in volumes])
-    if batch.shape[1:] != config.input_shape:
+    if tokens.ndim != 3:
+        raise DimensionError(f"tokens must be rank 3 [B, N, width], got rank {tokens.ndim}")
+    if tokens.shape[-1] != config.token_width:
         raise DimensionError(
-            f"volume shape {batch.shape[1:]} does not match configured input "
-            f"{config.input_shape}"
-        )
-    return batch
-
-
-def embed(tokens, params: ModelParams, config: ModelConfig) -> T.Tensor:
-    """Project tokens to the embedding space and add positional rows.
-
-    Accepts [N, token_width] or [B, N, token_width]; under cls_token
-    pooling the learned classification row is prepended with its own
-    positional row.
-    """
-    data = tokens.data if isinstance(tokens, T.Tensor) else np.asarray(tokens)
-    single = data.ndim == 2
-    if single:
-        data = data[None]
-    if data.ndim != 3:
-        raise DimensionError(f"tokens must be rank 2 or 3, got rank {data.ndim}")
-    if data.shape[-1] != config.token_width:
-        raise DimensionError(
-            f"token width {data.shape[-1]} does not match embedding input "
+            f"token width {tokens.shape[-1]} does not match embedding input "
             f"{config.token_width}"
         )
-    if data.shape[1] != token_grid(config).total:
+    if tokens.shape[1] != token_grid(config).total:
         raise DimensionError(
-            f"got {data.shape[1]} tokens, positional table holds "
+            f"got {tokens.shape[1]} tokens, positional table holds "
             f"{token_grid(config).total}"
         )
-    x = T.Tensor(data.astype(params.dtype, copy=False))
-    z = T.matmul(x, params.embed_weight) + params.embed_bias
+    weight = params["embed.weight"]
+    x = T.Tensor(tokens.astype(weight.dtype, copy=False))
+    z = T.matmul(x, weight) + params["embed.bias"]
     if config.pooling == "cls_token":
-        batch = data.shape[0]
         d = config.embed_dim
-        anchor = T.Tensor(np.zeros((batch, 1, d), dtype=params.dtype))
-        cls_rows = anchor + T.reshape(params.cls_token, (1, 1, d))
+        anchor = T.Tensor(np.zeros((tokens.shape[0], 1, d), dtype=weight.dtype))
+        cls_rows = anchor + T.reshape(params["cls_token"], (1, 1, d))
         z = T.concat([cls_rows, z], axis=1)
-    z = z + params.pos_embed
-    if single:
-        z = T.reshape(z, z.shape[1:])
-    return z
+    return z + params["pos_embed"]
 
 
 def attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
@@ -437,93 +360,85 @@ def _project(x: T.Tensor, weight: T.Tensor, bias: T.Tensor,
     return T.transpose(y, (0, 2, 1, 3))
 
 
-def mhsa(x: T.Tensor, layer: EncoderLayerParams, config: ModelConfig,
+def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
          attn_sink: Optional[list] = None) -> T.Tensor:
-    """Multi-head self-attention: per-head attention, concat, output projection."""
-    single = x.data.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
+    """Multi-head self-attention of the block at `prefix` over x [B, N, d]:
+    per-head attention, concat, output projection."""
     if x.shape[-1] != config.embed_dim:
         raise ConfigError(
             f"input width {x.shape[-1]} does not match embed_dim {config.embed_dim} "
             f"({config.num_heads} heads of {config.head_dim})"
         )
     b, n, d = x.shape
-    q = _project(x, layer.q_weight, layer.q_bias, config)
-    k = _project(x, layer.k_weight, layer.k_bias, config)
-    v = _project(x, layer.v_weight, layer.v_bias, config)
+    q = _project(x, params[prefix + "attn.q_weight"], params[prefix + "attn.q_bias"], config)
+    k = _project(x, params[prefix + "attn.k_weight"], params[prefix + "attn.k_bias"], config)
+    v = _project(x, params[prefix + "attn.v_weight"], params[prefix + "attn.v_bias"], config)
     heads = attention(q, k, v, attn_sink)
     merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (b, n, d))
-    out = T.matmul(merged, layer.out_weight) + layer.out_bias
-    if single:
-        out = T.reshape(out, out.shape[1:])
-    return out
+    out = T.matmul(merged, params[prefix + "attn.out_weight"])
+    return out + params[prefix + "attn.out_bias"]
 
 
-def ffn(x: T.Tensor, layer: EncoderLayerParams) -> T.Tensor:
-    """Two dense layers with a ReLU between, applied rowwise."""
-    hidden = T.relu(T.matmul(x, layer.ffn_w1) + layer.ffn_b1)
-    return T.matmul(hidden, layer.ffn_w2) + layer.ffn_b2
+def ffn(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
+    """Two dense layers of the block at `prefix` with a ReLU between,
+    applied rowwise."""
+    hidden = T.relu(T.matmul(x, params[prefix + "ffn.w1"]) + params[prefix + "ffn.b1"])
+    return T.matmul(hidden, params[prefix + "ffn.w2"]) + params[prefix + "ffn.b2"]
 
 
-def encoder_block(x: T.Tensor, layer: EncoderLayerParams, config: ModelConfig,
+def encoder_block(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
                   attn_sink: Optional[list] = None) -> T.Tensor:
-    """Pre-norm residual block: x + attn(norm(x)), then y + ffn(norm(y))."""
+    """Pre-norm residual block at `prefix`: x + attn(norm(x)), then
+    y + ffn(norm(y))."""
     eps = config.layer_norm_eps
-    y = x + mhsa(T.layer_norm(x, layer.ln1_gamma, layer.ln1_beta, eps), layer,
-                 config, attn_sink)
-    return y + ffn(T.layer_norm(y, layer.ln2_gamma, layer.ln2_beta, eps), layer)
+    normed = T.layer_norm(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"], eps)
+    y = x + mhsa(normed, params, prefix, config, attn_sink)
+    normed = T.layer_norm(y, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"], eps)
+    return y + ffn(normed, params, prefix)
 
 
 def encode(z: T.Tensor, params: ModelParams, config: ModelConfig,
            attn_sink: Optional[list] = None) -> T.Tensor:
-    for layer in params.layers:
-        z = encoder_block(z, layer, config, attn_sink)
+    for i in range(config.num_layers):
+        z = encoder_block(z, params, f"layers.{i}.", config, attn_sink)
     return z
 
 
 def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> T.Tensor:
-    """Final layer norm, pooling, and the linear head (no softmax)."""
-    single = z.data.ndim == 2
-    if single:
-        z = T.reshape(z, (1,) + z.shape)
-    h = T.layer_norm(z, params.final_gamma, params.final_beta, config.layer_norm_eps)
+    """Final layer norm, pooling, and the linear head (no softmax):
+    [B, N, d] -> [B, classes]."""
+    h = T.layer_norm(z, params["final_norm.gamma"], params["final_norm.beta"],
+                     config.layer_norm_eps)
     if config.pooling == "cls_token":
         pooled = T.take_index(h, 0, axis=1)
     else:
         pooled = T.reduce_mean(h, axis=1)
-    logits = T.matmul(pooled, params.head_weight) + params.head_bias
-    if single:
-        logits = T.reshape(logits, (config.num_classes,))
-    return logits
+    return T.matmul(pooled, params["head.weight"]) + params["head.bias"]
 
 
-def pool_and_classify(z: T.Tensor, params: ModelParams, config: ModelConfig) -> T.Tensor:
-    """Class probabilities from final token embeddings; rows sum to 1."""
-    return T.softmax(classifier_logits(z, params, config), axis=-1)
-
-
-def forward_logits(volumes, params: ModelParams, config: ModelConfig,
+def forward_logits(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
                    attn_sink: Optional[list] = None) -> T.Tensor:
-    """Logits [batch, classes] for a batch of volumes.
+    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes.
 
     Each volume is processed independently: tokenize, embed, run the
     encoder stack, pool, and project.
     """
-    batch = _as_batch_array(volumes, config)
-    tokens = _extract_batch(batch, config)
-    z = embed(tokens, params, config)
+    if volumes.shape[1:] != config.input_shape:
+        raise DimensionError(
+            f"volume shape {volumes.shape[1:]} does not match configured input "
+            f"{config.input_shape}"
+        )
+    z = embed(extract_tubelets(volumes, config), params, config)
     z = encode(z, params, config, attn_sink)
     return classifier_logits(z, params, config)
 
 
-def forward(volumes, params: ModelParams, config: ModelConfig,
+def forward(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
             attn_sink: Optional[list] = None) -> T.Tensor:
-    """Class probabilities [batch, classes]; rows sum to 1."""
+    """Class probabilities [B, classes]; rows sum to 1."""
     return T.softmax(forward_logits(volumes, params, config, attn_sink), axis=-1)
 
 
 def predict_classes(probs: np.ndarray) -> np.ndarray:
     """Argmax per row; exact ties resolve to the lowest class index."""
-    arr = probs.data if isinstance(probs, T.Tensor) else np.asarray(probs)
-    return np.argmax(arr, axis=-1)
+    return np.argmax(probs, axis=-1)

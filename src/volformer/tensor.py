@@ -32,13 +32,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        else:
-            arr = np.asarray(data)
-            if arr.dtype not in _FLOAT_DTYPES:
-                arr = arr.astype(np.float64)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in _FLOAT_DTYPES:
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
@@ -55,38 +52,11 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    def __radd__(self, other):
-        return shift(self, float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return shift(self, -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
 
 class _Node:
@@ -288,22 +258,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / count, a.shape).astype(a.data.dtype, copy=False),)
 
     return _record(out, (a,), vjp)
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis 0; repeated indices accumulate gradient."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise DimensionError(f"gather_rows wants 1-d indices, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise DimensionError(f"gather_rows index out of range for extent {a.shape[0]}")
-
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _record(a.data[idx], (a,), vjp)
 
 
 def take_index(a: Tensor, index: int, axis: int) -> Tensor:

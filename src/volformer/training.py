@@ -12,7 +12,8 @@ from . import model as M
 from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Volume
-from .errors import ConfigError, DataError, NumericError, UsageError
+from .errors import (ConfigError, DataError, NumericError, UsageError,
+                     require_int_fields)
 from .rng import Rng, derive_seed
 
 MONITORS = ("val_loss", "val_acc")
@@ -32,6 +33,7 @@ class TrainConfig:
     monitor: str = "val_loss"
 
     def __post_init__(self):
+        require_int_fields(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:
@@ -54,16 +56,13 @@ class AdamState:
         self.v = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
         self.step_count = 0
 
-    @property
-    def scalar_count(self) -> int:
-        return sum(a.size for a in self.m.values()) + sum(a.size for a in self.v.values())
-
 
 def sparse_ce_loss(probs: np.ndarray, labels) -> float:
     """Mean of -ln p[label] over the batch, straight from probabilities.
 
     Evaluation-side definition; the trainer uses the fused logits form
-    below, which computes the same quantity stably.
+    (tensor.softmax_cross_entropy), which computes the same quantity
+    stably.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -74,11 +73,6 @@ def sparse_ce_loss(probs: np.ndarray, labels) -> float:
     picked = probs[np.arange(len(labels)), labels]
     with np.errstate(divide="ignore"):
         return float(np.mean(-np.log(picked)))
-
-
-def sparse_ce_loss_from_logits(logits: T.Tensor, labels) -> T.Tensor:
-    """Differentiable fused cross-entropy (logsumexp-stabilized)."""
-    return T.softmax_cross_entropy(logits, labels)
 
 
 def adam_step(params: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None:
@@ -138,7 +132,7 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
 def predict_probs(params: M.ModelParams, config: M.ModelConfig,
                   volumes: Sequence[Volume], batch_size: int = 128) -> np.ndarray:
     """Class probabilities [n, classes] for a volume list."""
-    voxels = np.stack([v.voxels for v in volumes]).astype(np.float32)
+    voxels, _ = _stack(volumes)
     chunks = []
     for start in range(0, len(volumes), batch_size):
         probs = M.forward(voxels[start : start + batch_size], params, config)
@@ -151,7 +145,6 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: Optional[int] = None
     best_value: float = float("nan")
-    checkpoint_path: Optional[str] = None
 
 
 def write_history(history: Sequence[dict], path) -> None:
@@ -159,13 +152,7 @@ def write_history(history: Sequence[dict], path) -> None:
     "checkpointed"} record per epoch."""
     with open(path, "w", encoding="utf-8") as fh:
         for row in history:
-            fh.write(json.dumps({
-                "epoch": row["epoch"],
-                "train_loss": row["train_loss"],
-                "val_loss": row["val_loss"],
-                "val_acc": row["val_acc"],
-                "checkpointed": row["checkpointed"],
-            }) + "\n")
+            fh.write(json.dumps(row) + "\n")
 
 
 def train(params: M.ModelParams, config: M.ModelConfig,
@@ -190,7 +177,7 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
     minimize = cfg.monitor == "val_loss"
     best = float("inf") if minimize else float("-inf")
-    result = TrainResult(checkpoint_path=checkpoint_path)
+    result = TrainResult()
     order = list(range(n))
     for epoch in range(1, cfg.epochs + 1):
         shuffle_rng.shuffle(order)

@@ -217,14 +217,14 @@ def test_criterion_05_position_encoding_sensitivity(overfit):
     perm = rng.permutation(8)
 
     zeroed = M.ModelParams.initialize(TINY, seed=3, weight_std=0.5)
-    zeroed.pos_embed.data[:] = 0.0
+    zeroed["pos_embed"].data[:] = 0.0
     tokens = rng.standard_normal((8, TINY.token_width)).astype(np.float32)
     base_probs = T.softmax(T.Tensor(token_logits(tokens, zeroed))).data
     perm_probs = T.softmax(T.Tensor(token_logits(tokens[perm], zeroed))).data
     equivariant = np.abs(base_probs - perm_probs).max() < 1e-5
 
     trained = overfit["params"]
-    sample = M.extract_tubelets(overfit["train_vols"][0], TINY)
+    sample = M.extract_tubelets(overfit["train_vols"][0].voxels[None], TINY)[0]
     delta = np.abs(token_logits(sample, trained)
                    - token_logits(sample[perm], trained)).max()
     sensitive = delta > 1e-6

@@ -171,6 +171,21 @@ class TestTrainEvalPredict:
         tmp_path, cfg = synth_env
         assert main(["eval", "--config", str(cfg), "--quiet"]) == 2
 
+    def test_non_utf8_array_name_exits_2(self, synth_env, capsys):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        tmp_path, cfg = synth_env
+        ckpt = tmp_path / "ckpt" / "model.vvck"
+        ckpt.parent.mkdir()
+        save_checkpoint(ckpt, ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        blob = bytearray(ckpt.read_bytes())
+        blob[blob.index(b"embed.weight")] = 0xFF
+        ckpt.write_bytes(bytes(blob))
+        for command in (["inspect", "--checkpoint", str(ckpt)], ["eval"], ["predict"]):
+            assert main([*command, "--config", str(cfg), "--quiet"]) == 2, command
+            assert "not UTF-8" in capsys.readouterr().err
+
 
 class TestInspectDefault:
     def test_reference_config_count(self, capsys):
@@ -213,6 +228,14 @@ class TestConfigHandling:
                      "--set", "model.num_layers=0"]) == 0
         out = capsys.readouterr().out
         assert "total trainable parameters: 371" in out  # 2115 - 2*872
+
+    @pytest.mark.parametrize("expr", ["model.slices=32.5", "model.channels=true",
+                                      "train.epochs=2.0", "split.folds=false",
+                                      "synth.n_per_class=1.5",
+                                      "preprocess.central_slices=2.5"])
+    def test_non_integer_int_key_exits_1(self, expr, capsys):
+        assert main(["inspect", "--quiet", "--set", expr]) == 1
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_invalid_flag_exits_1(self, capsys):
         assert main(["inspect", "--nope"]) == 1

@@ -292,6 +292,22 @@ class TestManifestFile:
         with pytest.raises(FormatError, match="extra"):
             D.DatasetManifest.load(path)
 
+    @pytest.mark.parametrize("record", [
+        {"path": 5, "label": 0},
+        {"path": None, "label": 0},
+        {"path": "a.vvol", "label": True},
+        {"path": "a.vvol", "label": 1.7},
+        {"path": "a.vvol", "label": "1"},
+        {"path": "a.vvol", "label": 0, "subject_id": 3},
+        {"path": "a.vvol", "label": 0, "split": ["train"]},
+        {"label": 0},
+    ])
+    def test_rejects_mistyped_fields(self, tmp_path, record):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match="m.jsonl:1"):
+            D.DatasetManifest.load(path)
+
     def test_rejects_duplicate_paths(self, tmp_path):
         path = tmp_path / "m.jsonl"
         record = json.dumps({"path": "a.vvol", "label": 0,

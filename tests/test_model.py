@@ -1,6 +1,7 @@
 """Tests for tokenization, the attention encoder, the head, and checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -99,14 +100,14 @@ class TestExtractTubelets:
                             patch_slices=1, patch_height=1, patch_width=2,
                             embed_dim=2, num_heads=1, num_layers=0, num_classes=2)
         vox = np.arange(8, dtype=np.float32).reshape(2, 2, 2, 1)
-        tokens = M.extract_tubelets(vox, cfg)
+        tokens = M.extract_tubelets(vox[None], cfg)[0]
         np.testing.assert_array_equal(tokens, naive_tokens(vox, cfg))
         np.testing.assert_array_equal(tokens, [[0, 1], [2, 3], [4, 5], [6, 7]])
 
     def test_partition_round_trip(self, tiny):
         rng = np.random.default_rng(0)
         vox = rng.standard_normal((4, 8, 8, 1)).astype(np.float32)
-        tokens = M.extract_tubelets(vox, tiny)
+        tokens = M.extract_tubelets(vox[None], tiny)[0]
         grid = M.token_grid(tiny)
         rebuilt = tokens.reshape(grid.t, grid.h, grid.w, tiny.patch_slices,
                                  tiny.patch_height, tiny.patch_width, 1)
@@ -114,7 +115,7 @@ class TestExtractTubelets:
         assert (rebuilt == vox).all()
 
     def test_constant_volume_gives_identical_tokens(self, tiny):
-        tokens = M.extract_tubelets(np.full((4, 8, 8, 1), 2.5, np.float32), tiny)
+        tokens = M.extract_tubelets(np.full((1, 4, 8, 8, 1), 2.5, np.float32), tiny)[0]
         assert (tokens == tokens[0]).all()
 
     def test_remainder_crop_warns(self):
@@ -122,11 +123,11 @@ class TestExtractTubelets:
                             patch_slices=1, patch_height=1, patch_width=2,
                             embed_dim=2, num_heads=1, num_layers=0, num_classes=2)
         with pytest.warns(UserWarning, match="cropping"):
-            M.extract_tubelets(np.zeros((2, 2, 3, 1), np.float32), cfg)
+            M.extract_tubelets(np.zeros((1, 2, 2, 3, 1), np.float32), cfg)
 
     def test_undersized_volume_rejected(self, tiny):
         with pytest.raises(DimensionError):
-            M.extract_tubelets(np.zeros((1, 8, 8, 1), np.float32), tiny)
+            M.extract_tubelets(np.zeros((1, 1, 8, 8, 1), np.float32), tiny)
 
 
 def minimal_embed_setup():
@@ -140,28 +141,28 @@ def minimal_embed_setup():
 class TestEmbed:
     def test_zero_tokens_zero_positions_give_bias(self, tiny):
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
-        params.embed_bias.data[:] = np.arange(8)
-        z = M.embed(np.zeros((8, tiny.token_width)), params, tiny)
-        np.testing.assert_array_equal(z.data, np.tile(np.arange(8.0), (8, 1)))
+        params["embed.bias"].data[:] = np.arange(8)
+        z = M.embed(np.zeros((1, 8, tiny.token_width)), params, tiny)
+        np.testing.assert_array_equal(z.data[0], np.tile(np.arange(8.0), (8, 1)))
 
     def test_identical_tokens_identical_rows(self, tiny):
         params = random_params(tiny, seed=1)
-        params.pos_embed.data[:] = 0.0
+        params["pos_embed"].data[:] = 0.0
         tokens = np.tile(np.random.default_rng(2).standard_normal(32), (8, 1))
-        z = M.embed(tokens, params, tiny)
-        assert (z.data == z.data[0]).all()
+        z = M.embed(tokens[None], params, tiny)
+        assert (z.data == z.data[0, 0]).all()
 
     def test_unit_token_hand_case(self):
         cfg, params = minimal_embed_setup()
-        z = M.embed(np.array([[1.0, 0.0]]), params, cfg)
-        expected = params.embed_weight.data[0] + params.embed_bias.data \
-            + params.pos_embed.data[0]
-        np.testing.assert_allclose(z.data[0], expected, atol=1e-12)
+        z = M.embed(np.array([[[1.0, 0.0]]]), params, cfg)
+        expected = params["embed.weight"].data[0] + params["embed.bias"].data \
+            + params["pos_embed"].data[0]
+        np.testing.assert_allclose(z.data[0, 0], expected, atol=1e-12)
 
     def test_width_mismatch_rejected(self, tiny):
         params = M.ModelParams.zeros(tiny)
         with pytest.raises(DimensionError):
-            M.embed(np.zeros((3, 7)), params, tiny)
+            M.embed(np.zeros((1, 3, 7)), params, tiny)
 
     def test_cls_token_prepended(self):
         cfg = tiny_config(pooling="cls_token")
@@ -169,7 +170,7 @@ class TestEmbed:
         tokens = np.random.default_rng(0).standard_normal((2, 8, 32))
         z = M.embed(tokens, params, cfg)
         assert z.shape == (2, 9, 8)
-        expected_first = params.cls_token.data + params.pos_embed.data[0]
+        expected_first = params["cls_token"].data + params["pos_embed"].data[0]
         np.testing.assert_allclose(z.data[:, 0, :],
                                    np.tile(expected_first, (2, 1)), atol=1e-12)
 
@@ -220,16 +221,18 @@ class TestMhsa:
     def test_single_head_reduces_to_attention(self):
         cfg = tiny_config(num_heads=1)
         params = random_params(cfg, seed=7)
-        layer = params.layers[0]
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 8))
-        got = M.mhsa(T.Tensor(x), layer, cfg).data
+        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.", cfg).data[0]
 
-        q = x @ layer.q_weight.data + layer.q_bias.data
-        k = x @ layer.k_weight.data + layer.k_bias.data
-        v = x @ layer.v_weight.data + layer.v_bias.data
+        def w(name):
+            return params["layers.0.attn." + name].data
+
+        q = x @ w("q_weight") + w("q_bias")
+        k = x @ w("k_weight") + w("k_bias")
+        v = x @ w("v_weight") + w("v_bias")
         single = M.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v)).data
-        expected = single @ layer.out_weight.data + layer.out_bias.data
+        expected = single @ w("out_weight") + w("out_bias")
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_permutation_equivariance(self, tiny):
@@ -237,8 +240,8 @@ class TestMhsa:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 8))
         perm = rng.permutation(8)
-        base = M.mhsa(T.Tensor(x), params.layers[0], tiny).data
-        permuted = M.mhsa(T.Tensor(x[perm]), params.layers[0], tiny).data
+        base = M.mhsa(T.Tensor(x[None]), params, "layers.0.", tiny).data[0]
+        permuted = M.mhsa(T.Tensor(x[perm][None]), params, "layers.0.", tiny).data[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
     def test_matches_naive_double_loop(self, tiny):
@@ -248,66 +251,66 @@ class TestMhsa:
         arrays = {name: t.data for name, t in params.named_parameters()}
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 8))
-        got = M.mhsa(T.Tensor(x), params.layers[0], tiny).data
+        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.", tiny).data[0]
         expected = _naive_attention(x, arrays, "layers.0.", tiny)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_wrong_width_rejected(self, tiny):
         params = random_params(tiny, seed=10)
         with pytest.raises(ConfigError):
-            M.mhsa(T.Tensor(np.zeros((4, 5))), params.layers[0], tiny)
+            M.mhsa(T.Tensor(np.zeros((1, 4, 5))), params, "layers.0.", tiny)
 
 
 class TestFfn:
     def test_zero_parameters_give_zero(self, tiny):
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
-        out = M.ffn(T.Tensor(np.random.default_rng(0).standard_normal((3, 8))),
-                    params.layers[0])
-        np.testing.assert_array_equal(out.data, np.zeros((3, 8)))
+        out = M.ffn(T.Tensor(np.random.default_rng(0).standard_normal((1, 3, 8))),
+                    params, "layers.0.")
+        np.testing.assert_array_equal(out.data, np.zeros((1, 3, 8)))
 
     def test_identity_embedding_on_nonnegative_input(self, tiny):
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
-        layer = params.layers[0]
-        layer.ffn_w1.data[:, :8] = np.eye(8)
-        layer.ffn_w2.data[:8, :] = np.eye(8)
-        x = np.abs(np.random.default_rng(1).standard_normal((4, 8)))
-        out = M.ffn(T.Tensor(x), layer)
+        params["layers.0.ffn.w1"].data[:, :8] = np.eye(8)
+        params["layers.0.ffn.w2"].data[:8, :] = np.eye(8)
+        x = np.abs(np.random.default_rng(1).standard_normal((1, 4, 8)))
+        out = M.ffn(T.Tensor(x), params, "layers.0.")
         np.testing.assert_allclose(out.data, x, atol=1e-12)
 
     def test_matches_hand_chain(self, tiny):
         params = random_params(tiny, seed=11)
-        layer = params.layers[1]
-        x = np.random.default_rng(2).standard_normal((5, 8))
-        expected = np.maximum(x @ layer.ffn_w1.data + layer.ffn_b1.data, 0.0) \
-            @ layer.ffn_w2.data + layer.ffn_b2.data
-        np.testing.assert_allclose(M.ffn(T.Tensor(x), layer).data, expected,
-                                   atol=1e-6)
+
+        def w(name):
+            return params["layers.1.ffn." + name].data
+
+        x = np.random.default_rng(2).standard_normal((1, 5, 8))
+        expected = np.maximum(x @ w("w1") + w("b1"), 0.0) @ w("w2") + w("b2")
+        np.testing.assert_allclose(M.ffn(T.Tensor(x), params, "layers.1.").data,
+                                   expected, atol=1e-6)
 
 
 class TestEncoderBlock:
     def test_zero_output_projections_make_identity(self, tiny):
         params = random_params(tiny, seed=12)
-        layer = params.layers[0]
-        for t in (layer.out_weight, layer.out_bias, layer.ffn_w2, layer.ffn_b2):
-            t.data[:] = 0.0
-        x = np.random.default_rng(3).standard_normal((8, 8))
-        out = M.encoder_block(T.Tensor(x), layer, tiny)
+        for name in ("attn.out_weight", "attn.out_bias", "ffn.w2", "ffn.b2"):
+            params["layers.0." + name].data[:] = 0.0
+        x = np.random.default_rng(3).standard_normal((1, 8, 8))
+        out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
         np.testing.assert_array_equal(out.data, x)
 
     def test_stable_at_large_magnitude(self, tiny):
         params = random_params(tiny, seed=13)
-        x = 1e3 * np.random.default_rng(4).standard_normal((8, 8))
-        out = M.encoder_block(T.Tensor(x), params.layers[0], tiny)
+        x = 1e3 * np.random.default_rng(4).standard_normal((1, 8, 8))
+        out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
         assert np.isfinite(out.data).all()
 
     def test_gradient_wrt_input(self, tiny):
         params = random_params(tiny, seed=14)
-        c = np.random.default_rng(5).standard_normal((8, 8))
-        x0 = np.random.default_rng(6).standard_normal((8, 8))
+        c = np.random.default_rng(5).standard_normal((1, 8, 8))
+        x0 = np.random.default_rng(6).standard_normal((1, 8, 8))
 
         def f(t):
             return T.reduce_sum(T.mul(
-                M.encoder_block(t, params.layers[0], tiny), T.Tensor(c)))
+                M.encoder_block(t, params, "layers.0.", tiny), T.Tensor(c)))
 
         assert T.finite_difference_check(f, T.Tensor(x0), step=1e-5) < 1e-6
 
@@ -315,26 +318,27 @@ class TestEncoderBlock:
 class TestClassification:
     def test_zero_head_gives_uniform(self, tiny):
         params = random_params(tiny, seed=15)
-        params.head_weight.data[:] = 0.0
-        params.head_bias.data[:] = 0.0
+        params["head.weight"].data[:] = 0.0
+        params["head.bias"].data[:] = 0.0
         z = T.Tensor(np.random.default_rng(7).standard_normal((2, 8, 8)))
-        probs = M.pool_and_classify(z, params, tiny)
+        probs = T.softmax(M.classifier_logits(z, params, tiny))
         np.testing.assert_allclose(probs.data, np.full((2, 3), 1 / 3), atol=1e-12)
 
     def test_identical_rows_match_single_row(self, tiny):
         params = random_params(tiny, seed=16)
         row = np.random.default_rng(8).standard_normal(8)
-        stacked = M.pool_and_classify(T.Tensor(np.tile(row, (8, 1))), params, tiny)
-        single = M.pool_and_classify(T.Tensor(row[None, :]), params, tiny)
+        stacked = T.softmax(M.classifier_logits(
+            T.Tensor(np.tile(row, (1, 8, 1))), params, tiny))
+        single = T.softmax(M.classifier_logits(T.Tensor(row[None, None, :]), params, tiny))
         np.testing.assert_allclose(stacked.data, single.data, atol=1e-9)
 
     def test_hand_logits(self, tiny):
         """Logits [0, ln 3, 0] must produce probabilities [0.2, 0.6, 0.2]."""
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
-        params.final_gamma.data[:] = 0.0  # pooled output becomes final beta
-        params.head_bias.data[:] = [0.0, math.log(3.0), 0.0]
+        params["final_norm.gamma"].data[:] = 0.0  # pooled output becomes final beta
+        params["head.bias"].data[:] = [0.0, math.log(3.0), 0.0]
         z = T.Tensor(np.random.default_rng(9).standard_normal((1, 8, 8)))
-        probs = M.pool_and_classify(z, params, tiny)
+        probs = T.softmax(M.classifier_logits(z, params, tiny))
         np.testing.assert_allclose(probs.data, [[0.2, 0.6, 0.2]], atol=1e-12)
 
     def test_predicted_class_tie_breaks_low(self):
@@ -399,7 +403,7 @@ class TestPositionSensitivity:
 
     def test_zero_positions_token_permutation_equivariant(self, tiny):
         params = random_params(tiny, seed=22)
-        params.pos_embed.data[:] = 0.0
+        params["pos_embed"].data[:] = 0.0
         rng = np.random.default_rng(15)
         tokens = rng.standard_normal((8, 32))
         perm = rng.permutation(8)
@@ -456,6 +460,52 @@ class TestCheckpointFormat:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(FormatError, match="byte"):
             read_raw_checkpoint(path)
+
+    @pytest.mark.parametrize("field, bad", [("num_layers", b"2.0"),
+                                            ("channels", b"true")])
+    def test_non_integer_embedded_config(self, tiny, tmp_path, field, bad):
+        path = tmp_path / "g.vvck"
+        save_checkpoint(path, M.ModelParams.zeros(tiny))
+        blob = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", blob[6:10])
+        key = f'"{field}":'.encode()
+        cfg = blob[10 : 10 + cfg_len]
+        start = cfg.index(key) + len(key)
+        end = start + cfg[start:].index(b",")
+        cfg = cfg[:start] + bad + cfg[end:]
+        path.write_bytes(blob[:6] + struct.pack("<I", len(cfg)) + cfg
+                         + blob[10 + cfg_len:])
+        with pytest.raises(FormatError, match="must be an integer"):
+            read_raw_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tiny, tmp_path, monkeypatch):
+        import volformer.checkpoint as CK
+
+        path = tmp_path / "best.vvck"
+        save_checkpoint(path, M.ModelParams.initialize(tiny, seed=1))
+        before = path.read_bytes()
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(CK, "open", lambda *a, **k: TornFile(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, M.ModelParams.initialize(tiny, seed=2))
+        assert path.read_bytes() == before
 
     def test_config_mismatch_names_first_array(self, tiny, tmp_path):
         path = tmp_path / "f.vvck"

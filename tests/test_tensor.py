@@ -89,17 +89,6 @@ class TestForwardSemantics:
     def test_reduce_mean_value(self):
         assert float(T.reduce_mean(leaf([2.0, 4.0])).data) == 3.0
 
-    def test_gather_rows_accumulates_repeats(self):
-        x = leaf([[1.0], [2.0]])
-        with T.Tape() as tape:
-            out = T.reduce_sum(T.gather_rows(x, [0, 0, 1]))
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, [[2.0], [1.0]])
-
-    def test_gather_rows_range_check(self):
-        with pytest.raises(DimensionError):
-            T.gather_rows(leaf([[1.0]]), [1])
-
     def test_mixed_dtype_rejected(self):
         with pytest.raises(UsageError):
             T.add(leaf([1.0], dtype=np.float32), leaf([1.0], dtype=np.float64))
@@ -209,8 +198,6 @@ class TestFiniteDifferenceOracle:
             T.mul(T.reduce_mean(x, axis=0), T.Tensor(c[0]))),
         "reduce_sum_keep": lambda x, c: T.reduce_sum(
             T.mul(T.reduce_sum(x, axis=1, keepdims=True), T.Tensor(c[:, :1]))),
-        "gather_rows": lambda x, c: T.reduce_sum(
-            T.mul(T.gather_rows(x, [0, 2, 0]), T.Tensor(c[[1, 0, 2]]))),
         "take_index": lambda x, c: T.reduce_sum(T.mul(T.take_index(x, 1, axis=0),
                                                       T.Tensor(c[1]))),
         "concat": lambda x, c: T.reduce_sum(
