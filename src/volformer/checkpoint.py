@@ -34,6 +34,11 @@ from .model import ModelConfig, ModelParams
 MAGIC = b"VVCK"
 VERSION = 1
 
+# Keys that earlier writers stored with the one value they could hold.
+# A file carrying one of them at exactly that value still loads; any
+# other value is an unknown key like any other.
+_LEGACY_KEYS = {"dropout": 0.0, "pooling": "global_average"}
+
 
 def _config_json(config: ModelConfig) -> bytes:
     return json.dumps(dataclasses.asdict(config), sort_keys=True,
@@ -111,7 +116,12 @@ def read_raw_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     cfg_len = r.u32("config length")
     cfg_bytes = r.take(cfg_len, "config JSON")
     try:
-        config = ModelConfig(**json.loads(cfg_bytes.decode("utf-8")))
+        fields = json.loads(cfg_bytes.decode("utf-8"))
+        if isinstance(fields, dict):
+            for key, old in _LEGACY_KEYS.items():
+                if key in fields and type(fields[key]) is type(old) and fields[key] == old:
+                    del fields[key]
+        config = ModelConfig(**fields)
     except (ValueError, TypeError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
     count = r.u32("array count")

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 
-from .errors import require_int_fields
+from .errors import ConfigError, require_field_types
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,7 +47,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,7 +56,14 @@ class PreprocessConfig:
     central_slices: int | None = None  # defaults to model.slices
 
     def __post_init__(self):
-        require_int_fields(self)
+        from .data import NORMALIZE_MODES
+
+        require_field_types(self)
+        if self.normalize not in NORMALIZE_MODES:
+            raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, "
+                              f"got {self.normalize!r}")
+        if self.central_slices is not None and self.central_slices < 1:
+            raise ConfigError(f"central_slices must be >= 1, got {self.central_slices}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,6 +74,9 @@ class PathsConfig:
     checkpoint_dir: str = "checkpoints"
     report: str = "report.json"
     history: str = "history.jsonl"
+
+    def __post_init__(self):
+        require_field_types(self)
 
 
 @dataclasses.dataclass
@@ -104,8 +114,6 @@ def _config_help() -> str:
 
 
 def _parse_set_expr(expr: str) -> tuple[str, str, object]:
-    from .errors import ConfigError
-
     key, sep, raw = expr.partition("=")
     if not sep:
         raise ConfigError(f"--set needs SECTION.KEY=VALUE, got '{expr}'")
@@ -121,8 +129,6 @@ def _parse_set_expr(expr: str) -> tuple[str, str, object]:
 
 def load_run_config(config_path: str | None, set_exprs: list[str],
                     seed: int | None) -> RunConfig:
-    from .errors import ConfigError
-
     sections = _sections()
     doc = {}
     if config_path:
@@ -277,7 +283,9 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     out_dir = run.paths.out_dir
     _refuse_nonempty_dir(out_dir, args.force)
     os.makedirs(out_dir, exist_ok=True)
-    k = run.preprocess.central_slices or run.model.slices
+    k = run.preprocess.central_slices
+    if k is None:
+        k = run.model.slices
     processed, skipped = [], []
     for entry in manifest.entries:
         volume = manifest.load_volume(entry)
@@ -374,6 +382,7 @@ def cmd_eval(run: RunConfig, args) -> int:
     from .errors import DataError
     from .metrics import report
 
+    _refuse_existing([run.paths.report], args.force)
     config, params = _load_checkpoint_for(run, args)
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
     entries = manifest.subset(args.split)
@@ -381,7 +390,6 @@ def cmd_eval(run: RunConfig, args) -> int:
         raise DataError(f"manifest has no entries tagged '{args.split}'")
     cm = _evaluate_entries(manifest, entries, params, config, run.train.batch_size)
     rep = report([cm])
-    _refuse_existing([run.paths.report], args.force)
     _write_report(rep, run.paths.report)
     _progress(args, f"report written to {run.paths.report}")
     print(rep.render_text(), end="")
@@ -440,6 +448,8 @@ def cmd_predict(run: RunConfig, args) -> int:
     from .model import predict_classes
     from .training import predict_probs
 
+    if args.out:
+        _refuse_existing([args.out], args.force)
     config, params = _load_checkpoint_for(run, args)
     if args.volumes:
         volumes = [read_volume(p) for p in args.volumes]
@@ -451,8 +461,6 @@ def cmd_predict(run: RunConfig, args) -> int:
     names = _class_names(config.num_classes)
     probs = predict_probs(params, config, volumes, run.train.batch_size)
     preds = predict_classes(probs)
-    if args.out:
-        _refuse_existing([args.out], args.force)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for path, row, pred in zip(paths, probs, preds):
@@ -564,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_cap()
-    from .errors import (CheckpointMismatchError, ConfigError, DataError,
-                         DimensionError, FormatError, NumericError, UsageError)
+    from .errors import (CheckpointMismatchError, DataError, DimensionError,
+                         FormatError, NumericError, UsageError)
 
     try:
         parser = build_parser()

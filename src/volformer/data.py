@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import (ConfigError, DataError, FormatError, NumericError,
-                     require_int_fields)
+                     require_field_types)
 from .rng import Rng, derive_seed
 
 VVOL_MAGIC = b"VVOL"
@@ -35,6 +35,7 @@ VVOL_VERSION = 1
 VVOL_DTYPE_F32 = 0
 SPLIT_TAGS = ("train", "val", "test")
 DEFAULT_CLASS_NAMES = ("NC", "MCI", "AD")
+NORMALIZE_MODES = ("minmax", "zscore")
 
 
 @dataclass
@@ -154,7 +155,7 @@ def normalize_intensity(volume: Volume, mode: str = "minmax") -> Volume:
 
     minmax -> values in [0, 1]; zscore -> mean 0, population std 1.
     """
-    if mode not in ("minmax", "zscore"):
+    if mode not in NORMALIZE_MODES:
         raise ConfigError(f"unknown normalization mode '{mode}'")
     vox = volume.voxels.astype(np.float64)
     if not np.isfinite(vox).all():
@@ -279,7 +280,7 @@ class SplitSpec:
     repetition: int = 0
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         if any(f <= 0 for f in fractions):
             raise ConfigError(f"split fractions must all be positive, got {fractions}")

@@ -38,19 +38,27 @@ class CheckpointMismatchError(VolformerError):
     """Checkpoint contents disagree with the expected model configuration."""
 
 
-def require_int_fields(config) -> None:
-    """Reject bools and non-integers in a config dataclass's int fields.
+_FIELD_KINDS = {int: ("an integer", numbers.Integral),
+                float: ("a number", numbers.Real),
+                str: ("a string", str)}
 
-    JSON spells a count as 32.5 or true as easily as 32; the field
-    annotations, not a list of keys, say which values must be integers.
+
+def require_field_types(config) -> None:
+    """Reject values of the wrong type in a config dataclass's fields.
+
+    JSON spells a count as 32.5 or true, or a path as 7, as easily as the
+    intended value; the field annotations, not a list of keys, say what
+    each field takes. An int field takes only integers, a float field an
+    integer or a float, a str field only a string, and an Optional field
+    also None. A bool is never a number.
     """
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
         allowed = typing.get_args(hints[f.name]) or (hints[f.name],)
-        if int not in allowed:
-            continue
         value = getattr(config, f.name)
         if value is None and type(None) in allowed:
             continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        for kind, (what, accepted) in _FIELD_KINDS.items():
+            if kind in allowed and (isinstance(value, bool)
+                                    or not isinstance(value, accepted)):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")

@@ -4,13 +4,8 @@ A volume's slice axis is treated like time: the volume is cut into
 non-overlapping tubelets, each flattened and linearly embedded, learned
 positional encodings are added, and a stack of pre-norm encoder blocks
 (joint spatio-temporal multi-head self-attention + ReLU FFN) feeds a
-softmax classification head.
-
-Two pooling modes are supported. `global_average` (the default) pools
-the final token embeddings by their mean and reproduces the reference
-parameter count exactly; `cls_token` prepends a learned classification
-token (with its own positional row) and classifies from its final
-embedding, which costs 2*embed_dim extra parameters.
+softmax classification head over the mean of the final token
+embeddings (global average pooling).
 
 Everything is batch-first: volumes arrive as [B, T, H, W, C] and token
 activations are [B, N, embed_dim]. Weights are looked up by the
@@ -29,10 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (CheckpointMismatchError, ConfigError, DimensionError,
-                     require_int_fields)
+                     require_field_types)
 from .rng import Rng
-
-POOLING_MODES = ("global_average", "cls_token")
 
 
 @dataclass(frozen=True)
@@ -51,12 +44,10 @@ class ModelConfig:
     num_layers: int = 16
     ffn_mult: int = 4
     layer_norm_eps: float = 1e-6
-    dropout: float = 0.0
-    pooling: str = "global_average"
     num_classes: int = 3
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         for name in ("slices", "height", "width", "channels",
                      "patch_slices", "patch_height", "patch_width"):
             if getattr(self, name) < 1:
@@ -76,10 +67,6 @@ class ModelConfig:
             raise ConfigError("ffn_mult must be >= 1")
         if self.layer_norm_eps <= 0:
             raise ConfigError("layer_norm_eps must be positive")
-        if self.dropout != 0.0:
-            raise ConfigError("dropout is a reserved hook and must stay 0.0")
-        if self.pooling not in POOLING_MODES:
-            raise ConfigError(f"pooling must be one of {POOLING_MODES}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
 
@@ -126,14 +113,11 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """
     d = config.embed_dim
     hidden = config.ffn_mult * d
-    n_pos = token_grid(config).total + (1 if config.pooling == "cls_token" else 0)
     shapes: list[tuple[str, tuple[int, ...]]] = [
         ("embed.weight", (config.token_width, d)),
         ("embed.bias", (d,)),
-        ("pos_embed", (n_pos, d)),
+        ("pos_embed", (token_grid(config).total, d)),
     ]
-    if config.pooling == "cls_token":
-        shapes.append(("cls_token", (d,)))
     for i in range(config.num_layers):
         prefix = f"layers.{i}."
         shapes += [
@@ -170,8 +154,6 @@ def count_params(config: ModelConfig) -> int:
     n_tokens = token_grid(config).total
     total = config.token_width * d + d            # embedding weight + bias
     total += n_tokens * d                         # positional table
-    if config.pooling == "cls_token":
-        total += 2 * d                            # cls embedding + its positional row
     per_layer = (
         4 * d                                     # two layer norms
         + 4 * (d * d + d)                         # q, k, v, output projections
@@ -263,9 +245,6 @@ class ModelParams:
     def tensors(self) -> list[T.Tensor]:
         return list(self._arrays.values())
 
-    def num_params(self) -> int:
-        return sum(t.size for t in self.tensors())
-
 
 # ---------------------------------------------------------------------------
 # tokenization and forward pass
@@ -306,11 +285,7 @@ def extract_tubelets(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Tensor:
     """Project [B, N, token_width] tokens to the embedding space and add
-    positional rows.
-
-    Under cls_token pooling the learned classification row is prepended
-    with its own positional row.
-    """
+    positional rows."""
     if tokens.ndim != 3:
         raise DimensionError(f"tokens must be rank 3 [B, N, width], got rank {tokens.ndim}")
     if tokens.shape[-1] != config.token_width:
@@ -326,11 +301,6 @@ def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Ten
     weight = params["embed.weight"]
     x = T.Tensor(tokens.astype(weight.dtype, copy=False))
     z = T.matmul(x, weight) + params["embed.bias"]
-    if config.pooling == "cls_token":
-        d = config.embed_dim
-        anchor = T.Tensor(np.zeros((tokens.shape[0], 1, d), dtype=weight.dtype))
-        cls_rows = anchor + T.reshape(params["cls_token"], (1, 1, d))
-        z = T.concat([cls_rows, z], axis=1)
     return z + params["pos_embed"]
 
 
@@ -405,14 +375,11 @@ def encode(z: T.Tensor, params: ModelParams, config: ModelConfig,
 
 
 def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> T.Tensor:
-    """Final layer norm, pooling, and the linear head (no softmax):
-    [B, N, d] -> [B, classes]."""
+    """Final layer norm, mean over tokens, and the linear head (no
+    softmax): [B, N, d] -> [B, classes]."""
     h = T.layer_norm(z, params["final_norm.gamma"], params["final_norm.beta"],
                      config.layer_norm_eps)
-    if config.pooling == "cls_token":
-        pooled = T.take_index(h, 0, axis=1)
-    else:
-        pooled = T.reduce_mean(h, axis=1)
+    pooled = T.reduce_mean(h, axis=1)
     return T.matmul(pooled, params["head.weight"]) + params["head.bias"]
 
 

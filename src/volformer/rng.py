@@ -118,9 +118,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def permutation(self, n: int) -> list[int]:
-        """A shuffled list(range(n))."""
-        items = list(range(n))
-        self.shuffle(items)
-        return items

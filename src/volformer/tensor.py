@@ -166,36 +166,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise DimensionError(f"sub: cannot broadcast {a.shape} with {b.shape}") from exc
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise DimensionError(f"mul: cannot broadcast {a.shape} with {b.shape}") from exc
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     factor = float(factor)  # keep python-float weak typing; numpy scalars would upcast f32
     return _record(a.data * factor, (a,), lambda g: (g * factor,))
-
-
-def shift(a: Tensor, offset: float) -> Tensor:
-    offset = float(offset)
-    return _record(a.data + offset, (a,), lambda g: (g,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -237,17 +210,6 @@ def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
     return _record(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
-
-    return _record(out, (a,), vjp)
-
-
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
@@ -258,37 +220,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g / count, a.shape).astype(a.data.dtype, copy=False),)
 
     return _record(out, (a,), vjp)
-
-
-def take_index(a: Tensor, index: int, axis: int) -> Tensor:
-    """Select one slice along an axis, dropping that axis."""
-    if not 0 <= axis < a.data.ndim:
-        raise DimensionError(f"axis {axis} invalid for rank {a.data.ndim}")
-    if not 0 <= index < a.shape[axis]:
-        raise DimensionError(f"index {index} out of range for extent {a.shape[axis]}")
-    slicer = (slice(None),) * axis + (index,)
-
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        z[slicer] = g
-        return (z,)
-
-    return _record(a.data[slicer], (a,), vjp)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    _check_dtypes(*tensors)
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise DimensionError(f"concat shapes incompatible along axis {axis}") from exc
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return _record(out, tuple(tensors), vjp)
 
 
 # ---------------------------------------------------------------------------

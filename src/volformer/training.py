@@ -13,7 +13,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Volume
 from .errors import (ConfigError, DataError, NumericError, UsageError,
-                     require_int_fields)
+                     require_field_types)
 from .rng import Rng, derive_seed
 
 MONITORS = ("val_loss", "val_acc")
@@ -33,7 +33,7 @@ class TrainConfig:
     monitor: str = "val_loss"
 
     def __post_init__(self):
-        require_int_fields(self)
+        require_field_types(self)
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from volformer import tensor as T
 from volformer.model import ModelConfig, ModelParams, parameter_shapes
 from volformer.rng import Rng
 
@@ -29,6 +33,25 @@ def random_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPara
         else:
             mapping[name] = 0.2 * vals
     return ModelParams.from_arrays(config, mapping, dtype=dtype)
+
+
+def project(t: T.Tensor, c) -> T.Tensor:
+    """The scalar sum(t * c) for a constant array c of t's shape, built
+    from taped ops: a [1, n] x [n, 1] matmul reshaped to ()."""
+    column = np.asarray(c, dtype=t.dtype).reshape(t.size, 1)
+    return T.reshape(T.matmul(T.reshape(t, (1, t.size)), T.Tensor(column)), ())
+
+
+def set_config_keys(path, **values) -> None:
+    """Rewrite the VVCK file at path with `values` merged into its
+    embedded config JSON, kept canonical (sorted keys, compact)."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[6:10])
+    config = json.loads(blob[10 : 10 + length])
+    config.update(values)
+    encoded = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(blob[:6] + struct.pack("<I", len(encoded)) + encoded
+                     + blob[10 + length:])
 
 
 @pytest.fixture

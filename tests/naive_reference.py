@@ -107,9 +107,6 @@ def naive_forward(voxels, arrays, config):
         for a in range(d):
             z[i, a] = sum(tokens[i, b] * arrays["embed.weight"][b, a]
                           for b in range(tokens.shape[1])) + arrays["embed.bias"][a]
-    if config.pooling == "cls_token":
-        z = np.vstack([np.asarray(arrays["cls_token"], dtype=np.float64)[None, :], z])
-        n += 1
     for i in range(n):
         for a in range(d):
             z[i, a] += arrays["pos_embed"][i, a]
@@ -123,10 +120,7 @@ def naive_forward(voxels, arrays, config):
                                    arrays[prefix + "ln2.beta"], eps)
         z = z + _naive_ffn(normed, arrays, prefix)
     z = _naive_layer_norm(z, arrays["final_norm.gamma"], arrays["final_norm.beta"], eps)
-    if config.pooling == "cls_token":
-        pooled = z[0]
-    else:
-        pooled = np.array([sum(z[:, a]) / n for a in range(d)])
+    pooled = np.array([sum(z[:, a]) / n for a in range(d)])
     logits = [sum(pooled[b] * arrays["head.weight"][b, a] for b in range(d))
               + arrays["head.bias"][a] for a in range(config.num_classes)]
     return np.array(_naive_softmax_row(logits))

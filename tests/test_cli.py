@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import set_config_keys
 from volformer.cli import main
 
 TINY_MODEL = {"slices": 4, "height": 8, "width": 8, "channels": 1,
@@ -119,6 +120,20 @@ class TestPreprocess:
         assert out["processed"] == 2 and out["skipped"] == 1
         assert "v1.vvol" in captured.err
 
+    @pytest.mark.parametrize("expr, message", [
+        pytest.param(expr, message, id=expr) for expr, message in [
+            ("preprocess.central_slices=-3", "central_slices must be >= 1"),
+            ("preprocess.central_slices=0", "central_slices must be >= 1"),
+            ("preprocess.normalize=bogus", "normalize must be one of"),
+        ]
+    ])
+    def test_bad_preprocess_key_exits_1_before_writing(self, synth_env, capsys,
+                                                       expr, message):
+        tmp_path, cfg = synth_env
+        assert main(["preprocess", "--config", str(cfg), "--quiet", "--set", expr]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "processed").exists()
+
 
 class TestTrainEvalPredict:
     def test_train_eval_predict_inspect(self, synth_env, capsys):
@@ -186,6 +201,37 @@ class TestTrainEvalPredict:
             assert main([*command, "--config", str(cfg), "--quiet"]) == 2, command
             assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("pooling", "cls_token"), ("dropout", 0.1)])
+    def test_embedded_removed_key_exits_2(self, synth_env, capsys, key, value):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        tmp_path, cfg = synth_env
+        ckpt = tmp_path / "legacy.vvck"
+        save_checkpoint(ckpt, ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        set_config_keys(ckpt, **{key: value})
+        assert main(["inspect", "--checkpoint", str(ckpt), "--config", str(cfg),
+                     "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_existing_outputs_refused_before_any_work(self, synth_env, capsys,
+                                                      monkeypatch):
+        import volformer.training as TR
+
+        tmp_path, cfg = synth_env
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        (tmp_path / "report.json").write_text("{}")
+        (tmp_path / "pred.jsonl").write_text("")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("predict_probs ran before the overwrite check")
+
+        monkeypatch.setattr(TR, "predict_probs", fail)
+        assert main(["eval", "--config", str(cfg), "--quiet"]) == 2
+        assert main(["predict", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "pred.jsonl")]) == 2
+        assert capsys.readouterr().err.count("pass --force") == 2
+
 
 class TestInspectDefault:
     def test_reference_config_count(self, capsys):
@@ -229,13 +275,27 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert "total trainable parameters: 371" in out  # 2115 - 2*872
 
-    @pytest.mark.parametrize("expr", ["model.slices=32.5", "model.channels=true",
-                                      "train.epochs=2.0", "split.folds=false",
-                                      "synth.n_per_class=1.5",
-                                      "preprocess.central_slices=2.5"])
-    def test_non_integer_int_key_exits_1(self, expr, capsys):
+    @pytest.mark.parametrize("expr, kind", [
+        pytest.param(expr, kind, id=expr) for expr, kind in [
+            ("model.slices=32.5", "an integer"), ("model.channels=true", "an integer"),
+            ("train.epochs=2.0", "an integer"), ("split.folds=false", "an integer"),
+            ("synth.n_per_class=1.5", "an integer"),
+            ("preprocess.central_slices=2.5", "an integer"),
+            ("train.learning_rate=true", "a number"),
+            ("model.layer_norm_eps=true", "a number"),
+            ("paths.history=7", "a string"),
+        ]
+    ])
+    def test_non_integer_int_key_exits_1(self, expr, kind, capsys):
         assert main(["inspect", "--quiet", "--set", expr]) == 1
-        assert "must be an integer" in capsys.readouterr().err
+        assert f"must be {kind}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", ["model.pooling=global_average",
+                                      "model.dropout=0.0"])
+    def test_removed_model_key_is_unknown(self, expr, capsys):
+        name = expr.split(".")[1].split("=")[0]
+        assert main(["inspect", "--quiet", "--set", expr]) == 1
+        assert f"unknown key '{name}'" in capsys.readouterr().err
 
     def test_invalid_flag_exits_1(self, capsys):
         assert main(["inspect", "--nope"]) == 1
@@ -276,3 +336,4 @@ class TestConfigHandling:
                     "split.folds (default 10)",
                     "paths.checkpoint_dir (default 'checkpoints')"):
             assert key in out
+        assert out.count("  model.") == 13

@@ -1,12 +1,11 @@
 """Tests for tokenization, the attention encoder, the head, and checkpoints."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
 
-from conftest import random_params, tiny_config
+from conftest import project, random_params, set_config_keys, tiny_config
 from naive_reference import naive_forward, naive_tokens
 from volformer import model as M
 from volformer import tensor as T
@@ -36,8 +35,8 @@ class TestConfigAndGrid:
         dict(embed_dim=10, num_heads=4),
         dict(patch_slices=8),           # exceeds slices=4
         dict(num_classes=1),
-        dict(dropout=0.1),
-        dict(pooling="max"),
+        dict(layer_norm_eps=True),      # a bool is not a float
+        dict(num_layers="2"),           # a string is not an int
         dict(layer_norm_eps=0.0),
     ])
     def test_invalid_configs_rejected(self, bad):
@@ -80,17 +79,11 @@ class TestCountParams:
         assert M.count_params(tiny_config(num_layers=10)) \
             == M.count_params(tiny_config(num_layers=0)) + 10 * per_block
 
-    @pytest.mark.parametrize("cfg", [REFERENCE_CONFIG, tiny_config(),
-                                     tiny_config(pooling="cls_token")])
+    @pytest.mark.parametrize("cfg", [REFERENCE_CONFIG, tiny_config()])
     def test_closed_form_matches_enumeration(self, cfg):
         enumerated = sum(int(np.prod(s)) for _, s in M.parameter_shapes(cfg))
         assert M.count_params(cfg) == enumerated
-        assert M.ModelParams.zeros(cfg).num_params() == enumerated
-
-    def test_cls_pooling_costs_two_rows(self):
-        base = M.count_params(tiny_config())
-        with_cls = M.count_params(tiny_config(pooling="cls_token"))
-        assert with_cls - base == 2 * 8
+        assert sum(t.size for t in M.ModelParams.zeros(cfg).tensors()) == enumerated
 
 
 class TestExtractTubelets:
@@ -163,16 +156,6 @@ class TestEmbed:
         params = M.ModelParams.zeros(tiny)
         with pytest.raises(DimensionError):
             M.embed(np.zeros((1, 3, 7)), params, tiny)
-
-    def test_cls_token_prepended(self):
-        cfg = tiny_config(pooling="cls_token")
-        params = random_params(cfg, seed=3)
-        tokens = np.random.default_rng(0).standard_normal((2, 8, 32))
-        z = M.embed(tokens, params, cfg)
-        assert z.shape == (2, 9, 8)
-        expected_first = params["cls_token"].data + params["pos_embed"].data[0]
-        np.testing.assert_allclose(z.data[:, 0, :],
-                                   np.tile(expected_first, (2, 1)), atol=1e-12)
 
 
 class TestAttention:
@@ -309,8 +292,7 @@ class TestEncoderBlock:
         x0 = np.random.default_rng(6).standard_normal((1, 8, 8))
 
         def f(t):
-            return T.reduce_sum(T.mul(
-                M.encoder_block(t, params, "layers.0.", tiny), T.Tensor(c)))
+            return project(M.encoder_block(t, params, "layers.0.", tiny), c)
 
         assert T.finite_difference_check(f, T.Tensor(x0), step=1e-5) < 1e-6
 
@@ -372,16 +354,14 @@ class TestForward:
         with pytest.raises(DimensionError):
             M.forward(np.zeros((1, 5, 8, 8, 1), np.float32), params, tiny)
 
-    @pytest.mark.parametrize("pooling", ["global_average", "cls_token"])
-    def test_matches_naive_reference(self, pooling):
-        cfg = tiny_config(pooling=pooling)
-        params = random_params(cfg, seed=20)
+    def test_matches_naive_reference(self, tiny):
+        params = random_params(tiny, seed=20)
         arrays = {name: t.data for name, t in params.named_parameters()}
         rng = np.random.default_rng(13)
         for _ in range(3):
             vol = rng.standard_normal((4, 8, 8, 1))
-            got = M.forward(vol[None].astype(np.float64), params, cfg).data[0]
-            expected = naive_forward(vol, arrays, cfg)
+            got = M.forward(vol[None].astype(np.float64), params, tiny).data[0]
+            expected = naive_forward(vol, arrays, tiny)
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
     def test_float32_path_matches_naive_within_1e5(self, tiny):
@@ -461,21 +441,37 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="byte"):
             read_raw_checkpoint(path)
 
-    @pytest.mark.parametrize("field, bad", [("num_layers", b"2.0"),
-                                            ("channels", b"true")])
-    def test_non_integer_embedded_config(self, tiny, tmp_path, field, bad):
+    @pytest.mark.parametrize("field, bad, kind", [
+        pytest.param("num_layers", 2.0, "an integer", id="num_layers-2.0"),
+        pytest.param("channels", True, "an integer", id="channels-true"),
+        pytest.param("layer_norm_eps", True, "a number", id="layer_norm_eps-true"),
+    ])
+    def test_non_integer_embedded_config(self, tiny, tmp_path, field, bad, kind):
         path = tmp_path / "g.vvck"
         save_checkpoint(path, M.ModelParams.zeros(tiny))
-        blob = path.read_bytes()
-        (cfg_len,) = struct.unpack("<I", blob[6:10])
-        key = f'"{field}":'.encode()
-        cfg = blob[10 : 10 + cfg_len]
-        start = cfg.index(key) + len(key)
-        end = start + cfg[start:].index(b",")
-        cfg = cfg[:start] + bad + cfg[end:]
-        path.write_bytes(blob[:6] + struct.pack("<I", len(cfg)) + cfg
-                         + blob[10 + cfg_len:])
-        with pytest.raises(FormatError, match="must be an integer"):
+        set_config_keys(path, **{field: bad})
+        with pytest.raises(FormatError, match=f"{field} must be {kind}"):
+            read_raw_checkpoint(path)
+
+    def test_legacy_keys_at_old_values_load(self, tiny, tmp_path):
+        """A file that still carries dropout 0.0 and pooling global_average
+        loads, and saving it again drops both keys."""
+        path = tmp_path / "legacy.vvck"
+        save_checkpoint(path, M.ModelParams.initialize(tiny, seed=3))
+        current = path.read_bytes()
+        set_config_keys(path, dropout=0.0, pooling="global_average")
+        assert b'"dropout":0.0' in path.read_bytes()
+        cfg, loaded = load_checkpoint(path)
+        assert cfg == tiny
+        save_checkpoint(path, loaded)
+        assert path.read_bytes() == current
+
+    @pytest.mark.parametrize("key, value", [("pooling", "cls_token"), ("dropout", 0.1)])
+    def test_legacy_keys_at_other_values_rejected(self, tiny, tmp_path, key, value):
+        path = tmp_path / "h.vvck"
+        save_checkpoint(path, M.ModelParams.zeros(tiny))
+        set_config_keys(path, **{key: value})
+        with pytest.raises(FormatError, match=key):
             read_raw_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tiny, tmp_path, monkeypatch):

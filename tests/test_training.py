@@ -137,7 +137,7 @@ class TestAdam:
     def test_state_scalar_count(self):
         _, params, state = self._setup()
         moments = list(state.m.values()) + list(state.v.values())
-        assert sum(a.size for a in moments) == 2 * params.num_params()
+        assert sum(a.size for a in moments) == 2 * sum(t.size for t in params.tensors())
 
 
 class TestTrainLoop:
