@@ -410,22 +410,24 @@ def cmd_cv(run: RunConfig, args) -> int:
         f"{stem}_rep{rep}_fold{i}{ext or '.json'}"
         for rep in rep_indices for i in range(k)
     ]
-    _refuse_existing([run.paths.report, *fold_report_paths], args.force)
+    fold_checkpoints = [
+        os.path.join(run.paths.checkpoint_dir, f"cv_rep{rep}_fold{i}.vvck")
+        for rep in rep_indices for i in range(k)
+    ]
+    _refuse_existing([run.paths.report, *fold_report_paths, *fold_checkpoints], args.force)
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
 
     inner_val_fraction = run.split.val_fraction / (
         run.split.train_fraction + run.split.val_fraction)
     matrices = []
-    for r in range(args.repeats):
-        rep = run.split.repetition + r
+    for r, rep in enumerate(rep_indices):
         folds = make_folds(manifest, k, seed=derive_seed(run.split.seed, rep))
         for i, fold in enumerate(folds):
             train_entries, val_entries = carve_validation(
                 fold.train_val, inner_val_fraction,
                 seed=derive_seed(run.split.seed, rep, i),
                 num_classes=run.model.num_classes)
-            ckpt = os.path.join(run.paths.checkpoint_dir, f"cv_rep{rep}_fold{i}.vvck")
-            _refuse_existing([ckpt], args.force)
+            ckpt = fold_checkpoints[r * k + i]
             _train_fresh(run, manifest, train_entries, val_entries, (rep, i),
                          checkpoint_path=ckpt)
             _, best_params = load_checkpoint(ckpt)

@@ -2,6 +2,7 @@
 that raises one."""
 
 import dataclasses
+import math
 import numbers
 import typing
 
@@ -50,7 +51,9 @@ def require_field_types(config) -> None:
     intended value; the field annotations, not a list of keys, say what
     each field takes. An int field takes only integers, a float field an
     integer or a float, a str field only a string, and an Optional field
-    also None. A bool is never a number.
+    also None. A bool is never a number, and a float field takes only
+    finite values: JSON spells NaN and Infinity too, and NaN passes every
+    range check.
     """
     hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
@@ -62,3 +65,12 @@ def require_field_types(config) -> None:
             if kind in allowed and (isinstance(value, bool)
                                     or not isinstance(value, accepted)):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if float in allowed and not _is_finite(value):
+            raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False

@@ -314,7 +314,9 @@ def attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
     """
     d_key = q.shape[-1]
     perm = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    scores = T.scale(T.matmul(q, T.transpose(k, perm)), 1.0 / math.sqrt(d_key))
+    # the factor goes on q, not on the scores: with 16 tokens and head_dim
+    # 2 the queries are 8 times smaller, and so is what the tape keeps
+    scores = T.matmul(T.scale(q, 1.0 / math.sqrt(d_key)), T.transpose(k, perm))
     alpha = T.softmax(scores, axis=-1)
     if attn_sink is not None:
         attn_sink.append(alpha.data)
@@ -383,21 +385,31 @@ def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> 
     return T.matmul(pooled, params["head.weight"]) + params["head.bias"]
 
 
-def forward_logits(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
-                   attn_sink: Optional[list] = None) -> T.Tensor:
-    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes.
-
-    Each volume is processed independently: tokenize, embed, run the
-    encoder stack, pool, and project.
-    """
+def tokenize(volumes: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch in the
+    configured input shape."""
     if volumes.shape[1:] != config.input_shape:
         raise DimensionError(
             f"volume shape {volumes.shape[1:]} does not match configured input "
             f"{config.input_shape}"
         )
-    z = embed(extract_tubelets(volumes, config), params, config)
+    return extract_tubelets(volumes, config)
+
+
+def logits_from_tokens(tokens: np.ndarray, params: ModelParams, config: ModelConfig,
+                       attn_sink: Optional[list] = None) -> T.Tensor:
+    """Logits [B, classes] for [B, N, token_width] tokens: embed, run the
+    encoder stack, pool, and project."""
+    z = embed(tokens, params, config)
     z = encode(z, params, config, attn_sink)
     return classifier_logits(z, params, config)
+
+
+def forward_logits(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
+                   attn_sink: Optional[list] = None) -> T.Tensor:
+    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes; each
+    volume is processed independently."""
+    return logits_from_tokens(tokenize(volumes, config), params, config, attn_sink)
 
 
 def forward(volumes: np.ndarray, params: ModelParams, config: ModelConfig,

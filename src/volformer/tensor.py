@@ -184,8 +184,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul batch dims incompatible: {a.shape} x {b.shape}") from exc
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        # an operand that needs no gradient (tokens, constants) gets none:
+        # its gradient can be the largest array of the whole backward pass
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad and b.data.ndim == 2 and a.data.ndim > 2:
+            # a weight shared over leading axes: one GEMM over the flattened
+            # rows, not a batched product summed over the batch afterwards
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
         return ga, gb
 
     return _record(out, (a, b), vjp)
@@ -230,7 +239,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(x, 0); subgradient at 0 is taken as 0."""
     mask = a.data > 0
-    return _record(np.where(mask, a.data, 0), (a,), lambda g: (g * mask,))
+    return _record(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -241,15 +250,32 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """
     if not np.isfinite(a.data).all():
         raise NumericError("softmax input contains NaN or Inf")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a.data - _row_max(a.data, axis))
+    out = e / _row_sum(e, axis)
 
     def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        return (out * (g - _row_sum(g * out, axis)),)
 
     return _record(out, (a,), vjp)
+
+
+# Attention rows are 16 wide, and numpy's max and sum reductions cost
+# several times the arithmetic on rows that short; a running maximum over
+# the row's positions and an einsum do the same work in a few passes.
+
+
+def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.max(axis, keepdims=True), bit-identical: max ignores order."""
+    rows = np.moveaxis(x, axis, 0)
+    m = np.array(rows[0])
+    for row in rows[1:]:
+        np.maximum(m, row, out=m)
+    return np.expand_dims(m, axis)
+
+
+def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """x.sum(axis, keepdims=True), summed in einsum's order."""
+    return np.expand_dims(np.einsum("...i->...", np.moveaxis(x, axis, -1)), axis)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

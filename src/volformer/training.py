@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -106,7 +107,7 @@ def adam_step(params: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None
 
 
 def _stack(volumes: Sequence[Volume]) -> tuple[np.ndarray, np.ndarray]:
-    voxels = np.stack([v.voxels for v in volumes]).astype(np.float32)
+    voxels = np.stack([v.voxels for v in volumes]).astype(np.float32, copy=False)
     labels = np.array([v.label for v in volumes], dtype=np.int64)
     return voxels, labels
 
@@ -147,14 +148,6 @@ class TrainResult:
     best_value: float = float("nan")
 
 
-def write_history(history: Sequence[dict], path) -> None:
-    """History JSONL: one {"epoch", "train_loss", "val_loss", "val_acc",
-    "checkpointed"} record per epoch."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in history:
-            fh.write(json.dumps(row) + "\n")
-
-
 def train(params: M.ModelParams, config: M.ModelConfig,
           train_set: Sequence[Volume], val_set: Sequence[Volume],
           cfg: TrainConfig, checkpoint_path=None, history_path=None,
@@ -167,10 +160,19 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     validation set. A checkpoint is written only when the monitored
     metric strictly improves. Identical seeds give bit-identical
     histories and checkpoint bytes.
+
+    The history file at history_path is JSONL, one {"epoch",
+    "train_loss", "val_loss", "val_acc", "checkpointed"} record per
+    epoch, written and flushed as the epoch ends (before on_epoch), so a
+    run that stops early leaves the rows of every finished epoch.
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
     voxels, labels = _stack(train_set)
+    # tokenizing is a pure rearrangement, so the set is tokenized once and
+    # each batch gathers its token rows
+    tokens = M.tokenize(voxels, config)
+    del voxels
     n = len(train_set)
     leaves = params.tensors()
     state = AdamState(params)
@@ -179,36 +181,40 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     best = float("inf") if minimize else float("-inf")
     result = TrainResult()
     order = list(range(n))
-    for epoch in range(1, cfg.epochs + 1):
-        shuffle_rng.shuffle(order)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            with T.Tape() as tape:
-                logits = M.forward_logits(voxels[batch_idx], params, config)
-                loss = T.softmax_cross_entropy(logits, labels[batch_idx])
-            tape.backward(loss, leaves=leaves)
-            adam_step(params, state, cfg)
-            epoch_loss += float(loss.data) * len(batch_idx)
-        val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
-        metric = val_loss if minimize else val_acc
-        improved = metric < best if minimize else metric > best
-        if improved:
-            best = metric
-            result.best_epoch = epoch
-            result.best_value = metric
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, params)
-        row = {
-            "epoch": epoch,
-            "train_loss": epoch_loss / n,
-            "val_loss": val_loss,
-            "val_acc": val_acc,
-            "checkpointed": bool(improved and checkpoint_path is not None),
-        }
-        result.history.append(row)
-        if on_epoch is not None:
-            on_epoch(row)
-    if history_path is not None:
-        write_history(result.history, history_path)
+    sink = (open(history_path, "w", encoding="utf-8") if history_path is not None
+            else nullcontext())
+    with sink as history:
+        for epoch in range(1, cfg.epochs + 1):
+            shuffle_rng.shuffle(order)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                batch_idx = order[start : start + cfg.batch_size]
+                with T.Tape() as tape:
+                    logits = M.logits_from_tokens(tokens[batch_idx], params, config)
+                    loss = T.softmax_cross_entropy(logits, labels[batch_idx])
+                tape.backward(loss, leaves=leaves)
+                adam_step(params, state, cfg)
+                epoch_loss += float(loss.data) * len(batch_idx)
+            val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
+            metric = val_loss if minimize else val_acc
+            improved = metric < best if minimize else metric > best
+            if improved:
+                best = metric
+                result.best_epoch = epoch
+                result.best_value = metric
+                if checkpoint_path is not None:
+                    save_checkpoint(checkpoint_path, params)
+            row = {
+                "epoch": epoch,
+                "train_loss": epoch_loss / n,
+                "val_loss": val_loss,
+                "val_acc": val_acc,
+                "checkpointed": bool(improved and checkpoint_path is not None),
+            }
+            result.history.append(row)
+            if history is not None:
+                history.write(json.dumps(row) + "\n")
+                history.flush()
+            if on_epoch is not None:
+                on_epoch(row)
     return result

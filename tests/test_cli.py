@@ -256,6 +256,19 @@ class TestCrossValidation:
         assert totals == [3] * 10
 
 
+    def test_existing_fold_checkpoint_refused_before_training(self, synth_env, capsys):
+        tmp_path, cfg = synth_env
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        (ckpt_dir / "cv_rep0_fold3.vvck").write_bytes(b"kept")
+        assert main(["cv", "--config", str(cfg), "--quiet",
+                     "--set", "train.epochs=1"]) == 2
+        assert "cv_rep0_fold3.vvck" in capsys.readouterr().err
+        assert os.listdir(ckpt_dir) == ["cv_rep0_fold3.vvck"]
+        assert (ckpt_dir / "cv_rep0_fold3.vvck").read_bytes() == b"kept"
+        assert not list(tmp_path.glob("report*.json"))
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -284,6 +297,10 @@ class TestConfigHandling:
             ("train.learning_rate=true", "a number"),
             ("model.layer_norm_eps=true", "a number"),
             ("paths.history=7", "a string"),
+            ("train.learning_rate=NaN", "a finite number"),
+            ("model.layer_norm_eps=Infinity", "a finite number"),
+            ("split.val_fraction=NaN", "a finite number"),
+            ("synth.noise_sigma=NaN", "a finite number"),
         ]
     ])
     def test_non_integer_int_key_exits_1(self, expr, kind, capsys):

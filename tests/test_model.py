@@ -445,6 +445,8 @@ class TestCheckpointFormat:
         pytest.param("num_layers", 2.0, "an integer", id="num_layers-2.0"),
         pytest.param("channels", True, "an integer", id="channels-true"),
         pytest.param("layer_norm_eps", True, "a number", id="layer_norm_eps-true"),
+        pytest.param("layer_norm_eps", float("nan"), "a finite number",
+                     id="layer_norm_eps-NaN"),
     ])
     def test_non_integer_embedded_config(self, tiny, tmp_path, field, bad, kind):
         path = tmp_path / "g.vvck"

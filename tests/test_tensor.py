@@ -62,6 +62,12 @@ class TestForwardSemantics:
         shifted = T.softmax(leaf(np.asarray(row) + c)).data
         np.testing.assert_allclose(base, shifted, atol=1e-9)
 
+    def test_row_max_bit_identical_to_max(self):
+        x = np.random.default_rng(8).standard_normal((2, 3, 5)).astype(np.float32)
+        for axis in (-1, 0, 1):
+            expected = x.max(axis=axis, keepdims=True)
+            assert (T._row_max(x, axis) == expected).all()
+
     def test_layer_norm_constant_input_gives_beta(self):
         gamma, beta = leaf([3.0, 3.0, 3.0]), leaf([1.0, 2.0, 3.0])
         out = T.layer_norm(leaf([[5.0, 5.0, 5.0]]), gamma, beta, eps=1e-6)
@@ -162,6 +168,19 @@ class TestBackward:
         tape.backward(out, leaves=[x, w])
         assert (first[0] == x.grad).all() and (first[1] == w.grad).all()
 
+    def test_matmul_vjp_skips_operands_without_grad(self):
+        rng = np.random.default_rng(5)
+        constant = T.Tensor(rng.standard_normal((2, 3, 4)))
+        weight = leaf(rng.standard_normal((4, 5)))
+        g = np.ones((2, 3, 5))
+        with T.Tape() as tape:
+            T.matmul(constant, weight)
+            T.matmul(weight, T.Tensor(rng.standard_normal((5, 2))))
+        ga, gb = tape.nodes[0].vjp(g)
+        assert ga is None and gb.shape == (4, 5)
+        ga, gb = tape.nodes[1].vjp(np.ones((4, 2)))
+        assert ga.shape == (4, 5) and gb is None
+
     def test_tensor_reused_twice_accumulates(self):
         x = leaf([3.0])
         with T.Tape() as tape:
@@ -192,6 +211,11 @@ class TestFiniteDifferenceOracle:
         "scale_shift": lambda x, c: project(
             T.scale(T.add(x, T.Tensor(np.full_like(c, 0.7))), 1.3), c),
         "matmul": lambda x, c: project(T.matmul(x, T.Tensor(c.T)), c @ c.T),
+        # a constant rank-3 left operand: the weight gradient is one GEMM
+        # over the flattened leading axes
+        "matmul_weight": lambda x, c: project(
+            T.matmul(T.Tensor(np.stack([c.T, c.T[:, ::-1]])), x),
+            np.stack([c.T, c.T[:, ::-1]]) @ c),
         "reshape": lambda x, c: project(T.reshape(x, (x.size,)), c.reshape(-1)),
         "transpose": lambda x, c: project(T.transpose(x), c.T),
         "reduce_mean_axis": lambda x, c: project(T.reduce_mean(x, axis=0), c[0]),
@@ -213,6 +237,17 @@ class TestFiniteDifferenceOracle:
             err = T.finite_difference_check(lambda t: func(t, c), T.Tensor(x0),
                                             step=1e-5)
             assert err < 1e-6, f"{name} point {point}: {err}"
+
+    @pytest.mark.parametrize("shape, axis", [((3, 5), -1), ((4, 1), -1), ((3, 5), 0)],
+                             ids=["odd_rows", "width_1_rows", "axis_0"])
+    def test_softmax_gradient_row_widths(self, shape, axis):
+        rng = np.random.default_rng(zlib.crc32(repr((shape, axis)).encode()))
+        for point in range(10):
+            c = _away_from_kinks(rng.standard_normal(shape), margin=0.3)
+            x0 = rng.standard_normal(shape)
+            err = T.finite_difference_check(
+                lambda t: project(T.softmax(t, axis=axis), c), T.Tensor(x0), step=1e-5)
+            assert err < 1e-6, f"point {point}: {err}"
 
     def test_layer_norm_gradients_all_arguments(self):
         rng = np.random.default_rng(99)

@@ -11,7 +11,8 @@ from volformer import model as M
 from volformer import tensor as T
 from volformer import training as TR
 from volformer.data import Volume, gen_synthetic
-from volformer.errors import ConfigError, DataError, NumericError, UsageError
+from volformer.errors import (ConfigError, DataError, DimensionError, NumericError,
+                              UsageError)
 
 
 def synthetic_sets(tmp_path, n_train=4, n_val=2):
@@ -180,6 +181,30 @@ class TestTrainLoop:
         assert all(set(r) == {"epoch", "train_loss", "val_loss", "val_acc",
                               "checkpointed"} for r in rows)
 
+    def test_history_streams_one_row_per_finished_epoch(self, tmp_path):
+        """An on_epoch that raises at epoch 2 leaves exactly the rows of
+        epochs 1 and 2, byte-identical to an uninterrupted run's."""
+        cfg, train, val = synthetic_sets(tmp_path)
+        run = TR.TrainConfig(epochs=4, batch_size=4, seed=2, learning_rate=1e-3)
+        full = tmp_path / "full.jsonl"
+        TR.train(M.ModelParams.initialize(cfg, seed=3), cfg, train, val, run,
+                 history_path=full)
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_2(row):
+            if row["epoch"] == 2:
+                raise Stop
+
+        cut = tmp_path / "cut.jsonl"
+        with pytest.raises(Stop):
+            TR.train(M.ModelParams.initialize(cfg, seed=3), cfg, train, val, run,
+                     history_path=cut, on_epoch=stop_at_2)
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 4
+        assert cut.read_bytes() == b"".join(lines[:2])
+
     def test_checkpoint_reproduces_validation_metrics(self, tmp_path):
         from volformer.checkpoint import load_checkpoint
 
@@ -201,6 +226,13 @@ class TestTrainLoop:
         params = M.ModelParams.initialize(cfg, seed=0)
         with pytest.raises(DataError):
             TR.train(params, cfg, train, [], TR.TrainConfig(epochs=1))
+
+    def test_wrong_volume_shape_rejected(self, tmp_path):
+        cfg, train, val = synthetic_sets(tmp_path)
+        params = M.ModelParams.initialize(cfg, seed=0)
+        wide = tiny_config(width=12)
+        with pytest.raises(DimensionError, match="does not match configured input"):
+            TR.train(params, wide, train, val, TR.TrainConfig(epochs=1))
 
     def test_partial_final_batch_kept(self, tmp_path):
         cfg, train, val = synthetic_sets(tmp_path, n_train=3, n_val=1)
