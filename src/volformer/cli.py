@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 invalid configuration or usage, 2 I/O or
 dataset-level failure (including overwrite refusals), 3 checkpoint/config
 mismatch.
 
-Heavy imports happen inside handlers so VOLFORMER_THREADS can cap BLAS
-thread pools before numpy loads.
+VOLFORMER_THREADS caps the BLAS thread pools; the cap is applied when
+this module is imported, before it imports numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import json
 import math
 import os
 import sys
-
-from .errors import ConfigError, require_field_types
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -40,6 +38,13 @@ def _apply_thread_cap() -> None:
             os.environ.setdefault(var, cap)
 
 
+_apply_thread_cap()  # BLAS reads its thread count once, when numpy loads
+from . import checkpoint, data, metrics, model, rng, training  # noqa: E402
+from .errors import (CheckpointMismatchError, ConfigError, DataError,  # noqa: E402
+                     DimensionError, FormatError, NumericError, UsageError,
+                     require_field_types)
+
+
 @dataclasses.dataclass(frozen=True)
 class SynthConfig:
     n_per_class: int = 10
@@ -48,6 +53,12 @@ class SynthConfig:
 
     def __post_init__(self):
         require_field_types(self)
+        if self.n_per_class < 1:
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -56,11 +67,9 @@ class PreprocessConfig:
     central_slices: int | None = None  # defaults to model.slices
 
     def __post_init__(self):
-        from .data import NORMALIZE_MODES
-
         require_field_types(self)
-        if self.normalize not in NORMALIZE_MODES:
-            raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, "
+        if self.normalize not in data.NORMALIZE_MODES:
+            raise ConfigError(f"normalize must be one of {data.NORMALIZE_MODES}, "
                               f"got {self.normalize!r}")
         if self.central_slices is not None and self.central_slices < 1:
             raise ConfigError(f"central_slices must be >= 1, got {self.central_slices}")
@@ -79,35 +88,22 @@ class PathsConfig:
         require_field_types(self)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    model: object
-    train: object
-    split: object
-    synth: SynthConfig
-    preprocess: PreprocessConfig
-    paths: PathsConfig
-    model_overridden: bool = False
-
-
-def _sections():
-    from .data import SplitSpec
-    from .model import ModelConfig
-    from .training import TrainConfig
-
-    return {
-        "model": ModelConfig,
-        "train": TrainConfig,
-        "split": SplitSpec,
-        "synth": SynthConfig,
-        "preprocess": PreprocessConfig,
-        "paths": PathsConfig,
-    }
+# config section -> its class; a RunConfig holds one instance of each
+_SECTIONS = {
+    "model": model.ModelConfig,
+    "train": training.TrainConfig,
+    "split": data.SplitSpec,
+    "synth": SynthConfig,
+    "preprocess": PreprocessConfig,
+    "paths": PathsConfig,
+}
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig", [*_SECTIONS.items(), ("model_overridden", bool, False)])
 
 
 def _config_help() -> str:
     lines = ["configuration keys (JSON document for --config; --set overrides):"]
-    for section, cls in _sections().items():
+    for section, cls in _SECTIONS.items():
         for f in dataclasses.fields(cls):
             lines.append(f"  {section}.{f.name} (default {f.default!r})")
     return "\n".join(lines)
@@ -129,7 +125,6 @@ def _parse_set_expr(expr: str) -> tuple[str, str, object]:
 
 def load_run_config(config_path: str | None, set_exprs: list[str],
                     seed: int | None) -> RunConfig:
-    sections = _sections()
     doc = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -139,12 +134,12 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
                 raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: top level must be a JSON object")
-    unknown = set(doc) - set(sections)
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
 
     values: dict[str, dict] = {}
-    for section, cls in sections.items():
+    for section, cls in _SECTIONS.items():
         given = doc.get(section, {})
         if not isinstance(given, dict):
             raise ConfigError(f"config section '{section}' must be an object")
@@ -157,9 +152,9 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
     model_overridden = "model" in doc and bool(doc["model"])
     for expr in set_exprs:
         section, name, value = _parse_set_expr(expr)
-        if section not in sections:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section '{section}'")
-        known = {f.name for f in dataclasses.fields(sections[section])}
+        known = {f.name for f in dataclasses.fields(_SECTIONS[section])}
         if name not in known:
             raise ConfigError(f"unknown key '{name}' in section '{section}'")
         values[section][name] = value
@@ -172,7 +167,7 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
         values["synth"]["seed"] = seed
 
     built = {}
-    for section, cls in sections.items():
+    for section, cls in _SECTIONS.items():
         try:
             built[section] = cls(**values[section])
         except TypeError as exc:
@@ -206,9 +201,7 @@ def _refuse_nonempty_dir(path, force: bool) -> None:
 
 
 def _class_names(n: int):
-    from .data import DEFAULT_CLASS_NAMES
-
-    return DEFAULT_CLASS_NAMES if n == len(DEFAULT_CLASS_NAMES) \
+    return data.DEFAULT_CLASS_NAMES if n == len(data.DEFAULT_CLASS_NAMES) \
         else tuple(f"class{i}" for i in range(n))
 
 
@@ -230,10 +223,8 @@ def _write_report(rep, path) -> None:
 
 
 def _load_manifest(run: RunConfig):
-    from .data import DatasetManifest
-
-    return DatasetManifest.load(run.paths.manifest,
-                                class_names=_class_names(run.model.num_classes))
+    return data.DatasetManifest.load(run.paths.manifest,
+                                     class_names=_class_names(run.model.num_classes))
 
 
 def _default_checkpoint(run: RunConfig) -> str:
@@ -241,11 +232,9 @@ def _default_checkpoint(run: RunConfig) -> str:
 
 
 def _load_checkpoint_for(run: RunConfig, args):
-    from .checkpoint import load_checkpoint
-
     path = args.checkpoint or _default_checkpoint(run)
     expect = run.model if run.model_overridden else None
-    return load_checkpoint(path, expect_config=expect)
+    return checkpoint.load_checkpoint(path, expect_config=expect)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +243,13 @@ def _load_checkpoint_for(run: RunConfig, args):
 
 
 def cmd_synth(run: RunConfig, args) -> int:
-    from .data import gen_synthetic
-
     out_dir = run.paths.data_dir
     _refuse_nonempty_dir(out_dir, args.force)
     _refuse_existing([run.paths.manifest], args.force)
     extents = run.model.input_shape
-    manifest = gen_synthetic(run.synth.n_per_class, extents, run.synth.seed,
-                             out_dir, noise_sigma=run.synth.noise_sigma,
-                             class_names=_class_names(run.model.num_classes))
+    manifest = data.gen_synthetic(run.synth.n_per_class, extents, run.synth.seed,
+                                  out_dir, noise_sigma=run.synth.noise_sigma,
+                                  class_names=_class_names(run.model.num_classes))
     _save_manifest(manifest, run.paths.manifest)
     counts = {name: 0 for name in manifest.class_names}
     for e in manifest.entries:
@@ -273,10 +260,6 @@ def cmd_synth(run: RunConfig, args) -> int:
 
 
 def cmd_preprocess(run: RunConfig, args) -> int:
-    from .data import (normalize_intensity, resample_slices,
-                       select_central_slices, write_volume)
-    from .errors import DataError
-
     manifest = _load_manifest(run)
     if not manifest.entries:
         raise DataError(f"manifest '{run.paths.manifest}' is empty")
@@ -290,15 +273,15 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     for entry in manifest.entries:
         volume = manifest.load_volume(entry)
         try:
-            volume = select_central_slices(volume, k)
+            volume = data.select_central_slices(volume, k)
         except DataError as exc:
             skipped.append(entry.path)
             _progress(args, f"skipping {entry.path}: {exc}")
             continue
-        volume = resample_slices(volume, run.model.height, run.model.width)
-        volume = normalize_intensity(volume, run.preprocess.normalize)
+        volume = data.resample_slices(volume, run.model.height, run.model.width)
+        volume = data.normalize_intensity(volume, run.preprocess.normalize)
         filename = os.path.basename(entry.path)
-        write_volume(volume, os.path.join(out_dir, filename))
+        data.write_volume(volume, os.path.join(out_dir, filename))
         processed.append(dataclasses.replace(entry, path=filename))
     if not processed:
         raise DataError(f"all {len(skipped)} volumes failed preprocessing")
@@ -312,14 +295,11 @@ def cmd_preprocess(run: RunConfig, args) -> int:
 
 
 def _split_manifest_if_needed(run: RunConfig, manifest, args):
-    from .data import stratified_split
-    from .errors import DataError
-
     tags = [e.split for e in manifest.entries]
     if all(t is None for t in tags):
         _progress(args, "manifest has no split tags; applying stratified split "
                         f"(seed {run.split.seed})")
-        return stratified_split(manifest, run.split)
+        return data.stratified_split(manifest, run.split)
     if any(t is None for t in tags):
         raise DataError("manifest has partial split tags; clear or complete them")
     return manifest
@@ -329,25 +309,20 @@ def _train_fresh(run: RunConfig, manifest, train_entries, val_entries, stream_id
                  **outputs):
     """Train parameters initialized from derive_seed(train.seed, *stream_ids)
     on the given manifest entries; `outputs` go to training.train."""
-    from .model import ModelParams
-    from .rng import derive_seed
-    from .training import train
-
-    params = ModelParams.initialize(run.model, seed=derive_seed(run.train.seed, *stream_ids))
-    return train(params, run.model, manifest.load_volumes(train_entries),
-                 manifest.load_volumes(val_entries), run.train, **outputs)
+    params = model.ModelParams.initialize(
+        run.model, seed=rng.derive_seed(run.train.seed, *stream_ids))
+    return training.train(params, run.model, manifest.load_volumes(train_entries),
+                          manifest.load_volumes(val_entries), run.train, **outputs)
 
 
 def cmd_train(run: RunConfig, args) -> int:
-    from .model import count_params
-
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
     train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
     checkpoint_path = _default_checkpoint(run)
     _refuse_existing([checkpoint_path, run.paths.history], args.force)
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
     _progress(args, f"training on {len(train_entries)} volumes, validating on "
-                    f"{len(val_entries)} ({count_params(run.model)} parameters)")
+                    f"{len(val_entries)} ({model.count_params(run.model)} parameters)")
 
     def on_epoch(row):
         marker = " *" if row["checkpointed"] else ""
@@ -366,22 +341,15 @@ def cmd_train(run: RunConfig, args) -> int:
 
 
 def _evaluate_entries(manifest, entries, params, config, batch_size):
-    from .metrics import confusion
-    from .model import predict_classes
-    from .training import predict_probs
-
     volumes = manifest.load_volumes(entries)
-    probs = predict_probs(params, config, volumes, batch_size)
-    preds = predict_classes(probs)
+    probs = training.predict_probs(params, config, volumes, batch_size)
+    preds = model.predict_classes(probs)
     labels = [v.label for v in volumes]
-    return confusion(labels, preds, num_classes=config.num_classes,
-                     class_names=manifest.class_names)
+    return metrics.confusion(labels, preds, num_classes=config.num_classes,
+                             class_names=manifest.class_names)
 
 
 def cmd_eval(run: RunConfig, args) -> int:
-    from .errors import DataError
-    from .metrics import report
-
     _refuse_existing([run.paths.report], args.force)
     config, params = _load_checkpoint_for(run, args)
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
@@ -389,7 +357,7 @@ def cmd_eval(run: RunConfig, args) -> int:
     if not entries:
         raise DataError(f"manifest has no entries tagged '{args.split}'")
     cm = _evaluate_entries(manifest, entries, params, config, run.train.batch_size)
-    rep = report([cm])
+    rep = metrics.report([cm])
     _write_report(rep, run.paths.report)
     _progress(args, f"report written to {run.paths.report}")
     print(rep.render_text(), end="")
@@ -397,11 +365,8 @@ def cmd_eval(run: RunConfig, args) -> int:
 
 
 def cmd_cv(run: RunConfig, args) -> int:
-    from .checkpoint import load_checkpoint
-    from .data import carve_validation, make_folds
-    from .metrics import report
-    from .rng import derive_seed
-
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     manifest = _load_manifest(run)
     k = run.split.folds
     stem, ext = os.path.splitext(run.paths.report)
@@ -421,24 +386,24 @@ def cmd_cv(run: RunConfig, args) -> int:
         run.split.train_fraction + run.split.val_fraction)
     matrices = []
     for r, rep in enumerate(rep_indices):
-        folds = make_folds(manifest, k, seed=derive_seed(run.split.seed, rep))
+        folds = data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep))
         for i, fold in enumerate(folds):
-            train_entries, val_entries = carve_validation(
+            train_entries, val_entries = data.carve_validation(
                 fold.train_val, inner_val_fraction,
-                seed=derive_seed(run.split.seed, rep, i),
+                seed=rng.derive_seed(run.split.seed, rep, i),
                 num_classes=run.model.num_classes)
             ckpt = fold_checkpoints[r * k + i]
             _train_fresh(run, manifest, train_entries, val_entries, (rep, i),
                          checkpoint_path=ckpt)
-            _, best_params = load_checkpoint(ckpt)
+            _, best_params = checkpoint.load_checkpoint(ckpt)
             cm = _evaluate_entries(manifest, fold.test, best_params, run.model,
                                    run.train.batch_size)
             matrices.append(cm)
-            fold_report = report([cm])
+            fold_report = metrics.report([cm])
             _write_report(fold_report, fold_report_paths[r * k + i])
             _progress(args, f"repetition {rep} fold {i + 1}/{k}: "
                             f"test_acc={fold_report.accuracy_mean:.4f}")
-    aggregate = report(matrices)
+    aggregate = metrics.report(matrices)
     _write_report(aggregate, run.paths.report)
     _progress(args, f"aggregate report written to {run.paths.report}")
     print(aggregate.render_text(), end="")
@@ -446,23 +411,19 @@ def cmd_cv(run: RunConfig, args) -> int:
 
 
 def cmd_predict(run: RunConfig, args) -> int:
-    from .data import read_volume
-    from .model import predict_classes
-    from .training import predict_probs
-
     if args.out:
         _refuse_existing([args.out], args.force)
     config, params = _load_checkpoint_for(run, args)
     if args.volumes:
-        volumes = [read_volume(p) for p in args.volumes]
+        volumes = [data.read_volume(p) for p in args.volumes]
         paths = list(args.volumes)
     else:
         manifest = _load_manifest(run)
         volumes = manifest.load_volumes()
         paths = [e.path for e in manifest.entries]
     names = _class_names(config.num_classes)
-    probs = predict_probs(params, config, volumes, run.train.batch_size)
-    preds = predict_classes(probs)
+    probs = training.predict_probs(params, config, volumes, run.train.batch_size)
+    preds = model.predict_classes(probs)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for path, row, pred in zip(paths, probs, preds):
@@ -476,18 +437,16 @@ def cmd_predict(run: RunConfig, args) -> int:
 
 
 def cmd_inspect(run: RunConfig, args) -> int:
-    from .model import count_params, parameter_shapes
-
     if args.checkpoint:
         config, _ = _load_checkpoint_for(run, args)
     else:
         config = run.model
     total = 0
-    for name, shape in parameter_shapes(config):
+    for name, shape in model.parameter_shapes(config):
         size = math.prod(shape)
         total += size
         print(f"{name:<28} {'x'.join(str(s) for s in shape):>12} {size:>10}")
-    closed_form = count_params(config)
+    closed_form = model.count_params(config)
     print(f"total trainable parameters: {closed_form}")
     if total != closed_form:
         print(f"warning: enumerated size {total} != closed form {closed_form}",
@@ -503,8 +462,6 @@ def cmd_inspect(run: RunConfig, args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we map usage to exit 1
-        from .errors import UsageError
-
         raise UsageError(message)
 
 
@@ -573,10 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    from .errors import (CheckpointMismatchError, DataError, DimensionError,
-                         FormatError, NumericError, UsageError)
-
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

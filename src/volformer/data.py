@@ -22,7 +22,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -290,6 +290,8 @@ class SplitSpec:
             raise ConfigError(f"stratify_by must be 'scan' or 'subject'")
         if self.folds < 2:
             raise ConfigError("fold count must be >= 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.repetition < 0:
             raise ConfigError("repetition index must be >= 0")
 
@@ -305,14 +307,54 @@ def _split_counts(n: int, spec: SplitSpec) -> tuple[int, int, int]:
     return n_train, n_val, n - n_train - n_val
 
 
-def _entries_by_class(entries: Sequence[ManifestEntry], num_classes: int
-                      ) -> dict[int, list[int]]:
-    by_class: dict[int, list[int]] = {c: [] for c in range(num_classes)}
+def _stratified_fill(entries: Sequence[ManifestEntry], num_classes: int, seed: int,
+                     targets: Callable[[int, int], Sequence[int]],
+                     by_subject: bool = False) -> list[int]:
+    """Bucket index of every entry, decided class by class.
+
+    Classes are walked in ascending label order from one Rng(seed).
+    Within a class the units are Fisher-Yates shuffled: one entry each
+    in manifest order or, with by_subject, all scans of one subject in
+    sorted-key order (a scan without a subject is its own unit). Each
+    unit then goes to the first bucket still below its target, where
+    targets(label, n) gives those targets for a class of n entries (and
+    raises when n is too small); bucket len(targets) takes the rest.
+    """
+    by_class: list[list[int]] = [[] for _ in range(num_classes)]
     for i, entry in enumerate(entries):
         if not 0 <= entry.label < num_classes:
             raise DataError(f"label {entry.label} out of range for {entry.path}")
         by_class[entry.label].append(i)
-    return by_class
+    if by_subject:
+        subject_labels: dict[str, set[int]] = {}
+        for entry in entries:
+            if entry.subject_id is not None:
+                subject_labels.setdefault(entry.subject_id, set()).add(entry.label)
+        for subject, labels in subject_labels.items():
+            if len(labels) > 1:
+                raise DataError(f"subject '{subject}' has scans with conflicting labels")
+    rng = Rng(seed)
+    buckets = [0] * len(entries)
+    for label, indices in enumerate(by_class):
+        goals = targets(label, len(indices))
+        units: dict[object, list[int]] = {}
+        for i in indices:
+            key = i  # index keys sort into manifest order
+            if by_subject:
+                key = entries[i].subject_id
+                if key is None:
+                    key = f"__scan_{i}"
+            units.setdefault(key, []).append(i)
+        order = [units[key] for key in sorted(units)]
+        rng.shuffle(order)
+        placed = [0] * (len(goals) + 1)
+        for unit in order:
+            bucket = next((b for b, goal in enumerate(goals) if placed[b] < goal),
+                          len(goals))
+            placed[bucket] += len(unit)
+            for i in unit:
+                buckets[i] = bucket
+    return buckets
 
 
 def stratified_split(manifest: DatasetManifest, spec: SplitSpec) -> DatasetManifest:
@@ -325,51 +367,14 @@ def stratified_split(manifest: DatasetManifest, spec: SplitSpec) -> DatasetManif
     With stratify_by='subject' whole subjects move together and the
     counts are filled greedily to those same targets.
     """
-    by_class = _entries_by_class(manifest.entries, manifest.num_classes)
-    if spec.stratify_by == "subject":
-        subject_labels: dict[str, set[int]] = {}
-        for entry in manifest.entries:
-            if entry.subject_id is not None:
-                subject_labels.setdefault(entry.subject_id, set()).add(entry.label)
-        for subject, labels in subject_labels.items():
-            if len(labels) > 1:
-                raise DataError(f"subject '{subject}' has scans with conflicting labels")
-    rng = Rng(spec.seed)
-    tags: dict[int, str] = {}
-    for label in sorted(by_class):
-        indices = by_class[label]
-        if len(indices) < 3:
-            raise DataError(
-                f"class {label} has only {len(indices)} items; need >= 3 to split"
-            )
-        if spec.stratify_by == "scan":
-            order = list(indices)
-            rng.shuffle(order)
-            n_train, n_val, _ = _split_counts(len(order), spec)
-            for pos, idx in enumerate(order):
-                tags[idx] = "train" if pos < n_train else ("val" if pos < n_train + n_val else "test")
-        else:
-            groups: dict[str, list[int]] = {}
-            for idx in indices:
-                entry = manifest.entries[idx]
-                key = entry.subject_id if entry.subject_id is not None else f"__scan_{idx}"
-                groups.setdefault(key, []).append(idx)
-            ordered_groups = [groups[k] for k in sorted(groups)]
-            rng.shuffle(ordered_groups)
-            n_train, n_val, _ = _split_counts(len(indices), spec)
-            placed_train = placed_val = 0
-            for members in ordered_groups:
-                if placed_train < n_train:
-                    tag = "train"
-                    placed_train += len(members)
-                elif placed_val < n_val:
-                    tag = "val"
-                    placed_val += len(members)
-                else:
-                    tag = "test"
-                for idx in members:
-                    tags[idx] = tag
-    entries = [replace(e, split=tags[i]) for i, e in enumerate(manifest.entries)]
+    def targets(label, n):
+        if n < 3:
+            raise DataError(f"class {label} has only {n} items; need >= 3 to split")
+        return _split_counts(n, spec)[:2]
+
+    buckets = _stratified_fill(manifest.entries, manifest.num_classes, spec.seed,
+                               targets, by_subject=spec.stratify_by == "subject")
+    entries = [replace(e, split=SPLIT_TAGS[b]) for e, b in zip(manifest.entries, buckets)]
     return DatasetManifest(entries=entries, class_names=manifest.class_names,
                            base_dir=manifest.base_dir)
 
@@ -386,21 +391,16 @@ def carve_validation(entries: Sequence[ManifestEntry], val_fraction: float,
     """
     if not 0 < val_fraction < 1:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    by_class = _entries_by_class(entries, num_classes)
-    rng = Rng(seed)
-    val_idx = set()
-    for label in sorted(by_class):
-        indices = list(by_class[label])
-        if not indices:
-            continue
-        if len(indices) < 2:
+
+    def targets(label, n):
+        if n == 1:
             raise DataError(f"class {label} has one item; cannot carve validation")
-        rng.shuffle(indices)
-        n_val = min(max(1, _round_half_up(val_fraction * len(indices))),
-                    len(indices) - 1)
-        val_idx.update(indices[:n_val])
-    train = [e for i, e in enumerate(entries) if i not in val_idx]
-    val = [e for i, e in enumerate(entries) if i in val_idx]
+        # an empty class has no units, so its (negative) target is never read
+        return [min(max(1, _round_half_up(val_fraction * n)), n - 1)]
+
+    buckets = _stratified_fill(entries, num_classes, seed, targets)
+    train = [e for e, b in zip(entries, buckets) if b == 1]
+    val = [e for e, b in zip(entries, buckets) if b == 0]
     return train, val
 
 
@@ -419,32 +419,17 @@ def make_folds(manifest: DatasetManifest, k: int = 10, seed: int = 0) -> list[Fo
     """
     if k < 2:
         raise ConfigError("fold count must be >= 2")
-    by_class = _entries_by_class(manifest.entries, manifest.num_classes)
-    rng = Rng(seed)
-    blocks_per_class: dict[int, list[list[int]]] = {}
-    for label in sorted(by_class):
-        indices = list(by_class[label])
-        if len(indices) < k:
-            raise DataError(f"class {label} has {len(indices)} items, fewer than k={k}")
-        rng.shuffle(indices)
-        n = len(indices)
+
+    def targets(label, n):
+        if n < k:
+            raise DataError(f"class {label} has {n} items, fewer than k={k}")
         q, r = divmod(n, k)
-        blocks, start = [], 0
-        for i in range(k):
-            size = q + (1 if i < r else 0)
-            blocks.append(indices[start : start + size])
-            start += size
-        blocks_per_class[label] = blocks
-    folds = []
-    for i in range(k):
-        test_idx = set()
-        for label in sorted(blocks_per_class):
-            test_idx.update(blocks_per_class[label][i])
-        test = [manifest.entries[j] for j in sorted(test_idx)]
-        rest = [manifest.entries[j] for j in range(len(manifest.entries))
-                if j not in test_idx]
-        folds.append(Fold(train_val=rest, test=test))
-    return folds
+        return [q + 1] * r + [q] * (k - r)
+
+    buckets = _stratified_fill(manifest.entries, manifest.num_classes, seed, targets)
+    return [Fold(train_val=[e for e, b in zip(manifest.entries, buckets) if b != i],
+                 test=[e for e, b in zip(manifest.entries, buckets) if b == i])
+            for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

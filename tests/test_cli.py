@@ -3,12 +3,18 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from conftest import set_config_keys
+import volformer
 from volformer.cli import main
+
+SRC_DIR = os.path.dirname(os.path.dirname(volformer.__file__))
 
 TINY_MODEL = {"slices": 4, "height": 8, "width": 8, "channels": 1,
               "patch_slices": 2, "patch_height": 4, "patch_width": 4,
@@ -268,6 +274,16 @@ class TestCrossValidation:
         assert (ckpt_dir / "cv_rep0_fold3.vvck").read_bytes() == b"kept"
         assert not list(tmp_path.glob("report*.json"))
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_exits_1_before_any_output(self, synth_env, capsys,
+                                                         repeats):
+        tmp_path, cfg = synth_env
+        assert main(["cv", "--config", str(cfg), "--quiet",
+                     f"--repeats={repeats}"]) == 1
+        assert "--repeats must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+        assert not list(tmp_path.glob("report*.json"))
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -301,6 +317,10 @@ class TestConfigHandling:
             ("model.layer_norm_eps=Infinity", "a finite number"),
             ("split.val_fraction=NaN", "a finite number"),
             ("synth.noise_sigma=NaN", "a finite number"),
+            ("synth.n_per_class=0", ">= 1"), ("synth.n_per_class=-2", ">= 1"),
+            ("synth.noise_sigma=-1", "non-negative"),
+            ("synth.seed=-1", "a non-negative integer"),
+            ("split.seed=-1", "a non-negative integer"),
         ]
     ])
     def test_non_integer_int_key_exits_1(self, expr, kind, capsys):
@@ -329,6 +349,30 @@ class TestConfigHandling:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         _apply_thread_cap()
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_thread_cap_set_before_numpy_loads(self):
+        """In a fresh interpreter, VOLFORMER_THREADS has reached the BLAS
+        variables by the time the CLI first imports numpy."""
+        script = textwrap.dedent("""
+            import os, sys
+            seen = []
+
+            class Watch:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+            sys.meta_path.insert(0, Watch())
+            from volformer import cli
+            code = cli.main(["inspect", "--quiet"])
+            print(code, seen, file=sys.stderr)
+        """)
+        env = dict(os.environ, VOLFORMER_THREADS="3",
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stderr.strip().splitlines()[-1] == "0 ['3']"
 
     def test_preprocess_zscore_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, preprocess={"normalize": "zscore"})

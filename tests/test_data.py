@@ -241,6 +241,47 @@ class TestFolds:
             assert sum(e.label == c for e in val) == 2  # round(0.25 * 9)
 
 
+def mixed_manifest():
+    """41 scans over 3 unevenly sized, interleaved classes; subjects hold
+    one to several scans of one label, and every seventh scan has none."""
+    entries = []
+    for i in range(41):
+        label = (i * 5 + i // 4) % 3
+        subject = None if i % 7 == 3 else f"p{label}_{(i // 3) % 5}"
+        entries.append(D.ManifestEntry(path=f"m{i:02d}.vvol", label=label,
+                                       subject_id=subject))
+    return D.DatasetManifest(entries=entries)
+
+
+def test_partition_outputs_pinned():
+    """Tags and fold memberships on a fixed manifest match recorded digests,
+    so any change to the shuffle order or the fill rule shows."""
+    import hashlib
+
+    def digest(value):
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+    def tags(manifest):
+        return [e.split for e in manifest.entries]
+
+    def paths(entries):
+        return [e.path for e in entries]
+
+    manifest = mixed_manifest()
+    train, val = D.carve_validation(manifest.entries, 0.3, seed=11, num_classes=4)
+    got = {
+        "scan": digest(tags(D.stratified_split(manifest, D.SplitSpec(seed=9)))),
+        "subject": digest(tags(D.stratified_split(
+            manifest, D.SplitSpec(seed=9, stratify_by="subject")))),
+        "carve": digest([paths(train), paths(val)]),
+        "folds3": digest([paths(f.test) for f in D.make_folds(manifest, 3, seed=4)]),
+        "folds10": digest([paths(f.test) for f in D.make_folds(manifest, 10, seed=4)]),
+    }
+    assert got == {"scan": "b0994992c796e02d", "subject": "f6673d5e55b4d57f",
+                   "carve": "edb96674069a18f6", "folds3": "ae955760a781869a",
+                   "folds10": "fe0c2e8f0097f441"}
+
+
 class TestSynthetic:
     def test_same_seed_bit_identical(self, tmp_path):
         a = D.gen_synthetic(2, (4, 8, 8, 1), seed=7, out_dir=tmp_path / "a")
