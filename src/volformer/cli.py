@@ -185,11 +185,15 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _refuse_existing(paths, force: bool) -> None:
-    if force:
-        return
+def _refuse_existing(paths, force: bool, made_dir=None) -> None:
+    """Refuse, before any work, an output whose directory is missing (other
+    than made_dir, which the command creates) or which exists (unless force)."""
+    made = os.path.normpath(made_dir) if made_dir else None
     for p in paths:
-        if os.path.exists(p):
+        parent = os.path.normpath(os.path.dirname(p) or ".")
+        if parent != made and not os.path.isdir(parent):
+            raise FileNotFoundError(f"directory '{parent}' of output '{p}' does not exist")
+        if not force and os.path.exists(p):
             raise FileExistsError(f"refusing to overwrite '{p}'; pass --force")
 
 
@@ -263,6 +267,13 @@ def cmd_preprocess(run: RunConfig, args) -> int:
     manifest = _load_manifest(run)
     if not manifest.entries:
         raise DataError(f"manifest '{run.paths.manifest}' is empty")
+    written = {}  # output file name -> the entry path written under it
+    for entry in manifest.entries:
+        filename = os.path.basename(entry.path)
+        if filename in written:
+            raise DataError(f"'{written[filename]}' and '{entry.path}' would both be "
+                            f"written as '{filename}'")
+        written[filename] = entry.path
     out_dir = run.paths.out_dir
     _refuse_nonempty_dir(out_dir, args.force)
     os.makedirs(out_dir, exist_ok=True)
@@ -319,7 +330,8 @@ def cmd_train(run: RunConfig, args) -> int:
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
     train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
     checkpoint_path = _default_checkpoint(run)
-    _refuse_existing([checkpoint_path, run.paths.history], args.force)
+    _refuse_existing([checkpoint_path, run.paths.history], args.force,
+                     made_dir=run.paths.checkpoint_dir)
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
     _progress(args, f"training on {len(train_entries)} volumes, validating on "
                     f"{len(val_entries)} ({model.count_params(run.model)} parameters)")
@@ -379,14 +391,17 @@ def cmd_cv(run: RunConfig, args) -> int:
         os.path.join(run.paths.checkpoint_dir, f"cv_rep{rep}_fold{i}.vvck")
         for rep in rep_indices for i in range(k)
     ]
-    _refuse_existing([run.paths.report, *fold_report_paths, *fold_checkpoints], args.force)
+    _refuse_existing([run.paths.report, *fold_report_paths, *fold_checkpoints], args.force,
+                     made_dir=run.paths.checkpoint_dir)
+    rep_folds = [data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep),
+                                 by_subject=run.split.stratify_by == "subject")
+                 for rep in rep_indices]
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
 
     inner_val_fraction = run.split.val_fraction / (
         run.split.train_fraction + run.split.val_fraction)
     matrices = []
-    for r, rep in enumerate(rep_indices):
-        folds = data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep))
+    for r, (rep, folds) in enumerate(zip(rep_indices, rep_folds)):
         for i, fold in enumerate(folds):
             train_entries, val_entries = data.carve_validation(
                 fold.train_val, inner_val_fraction,

@@ -409,13 +409,17 @@ class Fold(NamedTuple):
     test: list[ManifestEntry]
 
 
-def make_folds(manifest: DatasetManifest, k: int = 10, seed: int = 0) -> list[Fold]:
+def make_folds(manifest: DatasetManifest, k: int = 10, seed: int = 0,
+               by_subject: bool = False) -> list[Fold]:
     """Class-stratified k-fold rotation.
 
     Each class's entries are shuffled once, split into k contiguous
     blocks (sizes differing by at most one, larger blocks first), and
     fold i tests the union of every class's i-th block. Test subsets are
-    pairwise disjoint and jointly exhaust the manifest.
+    pairwise disjoint and jointly exhaust the manifest. With by_subject
+    whole subjects move together and the blocks are filled greedily to
+    those same sizes, so they can miss them; a fold whose test set comes
+    out empty is an error.
     """
     if k < 2:
         raise ConfigError("fold count must be >= 2")
@@ -426,7 +430,11 @@ def make_folds(manifest: DatasetManifest, k: int = 10, seed: int = 0) -> list[Fo
         q, r = divmod(n, k)
         return [q + 1] * r + [q] * (k - r)
 
-    buckets = _stratified_fill(manifest.entries, manifest.num_classes, seed, targets)
+    buckets = _stratified_fill(manifest.entries, manifest.num_classes, seed, targets,
+                               by_subject=by_subject)
+    untested = set(range(k)) - set(buckets)
+    if untested:
+        raise DataError(f"fold {min(untested)} of {k} has an empty test set")
     return [Fold(train_val=[e for e, b in zip(manifest.entries, buckets) if b != i],
                  test=[e for e, b in zip(manifest.entries, buckets) if b == i])
             for i in range(k)]

@@ -15,7 +15,6 @@ under the prefix "layers.i.".
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -304,34 +303,6 @@ def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Ten
     return z + params["pos_embed"]
 
 
-def attention(q: T.Tensor, k: T.Tensor, v: T.Tensor,
-              attn_sink: Optional[list] = None) -> T.Tensor:
-    """Scaled dot-product attention over the last two axes.
-
-    Scores are q . k^T / sqrt(d_key) with d_key the trailing extent of q;
-    each softmaxed row is a probability vector over the tokens. When
-    attn_sink is a list the attention weights are appended to it.
-    """
-    d_key = q.shape[-1]
-    perm = tuple(range(k.data.ndim - 2)) + (k.data.ndim - 1, k.data.ndim - 2)
-    # the factor goes on q, not on the scores: with 16 tokens and head_dim
-    # 2 the queries are 8 times smaller, and so is what the tape keeps
-    scores = T.matmul(T.scale(q, 1.0 / math.sqrt(d_key)), T.transpose(k, perm))
-    alpha = T.softmax(scores, axis=-1)
-    if attn_sink is not None:
-        attn_sink.append(alpha.data)
-    return T.matmul(alpha, v)
-
-
-def _project(x: T.Tensor, weight: T.Tensor, bias: T.Tensor,
-             config: ModelConfig) -> T.Tensor:
-    """x [B,N,d] -> per-head stack [B, heads, N, head_dim]."""
-    b, n, _ = x.shape
-    y = T.matmul(x, weight) + bias
-    y = T.reshape(y, (b, n, config.num_heads, config.head_dim))
-    return T.transpose(y, (0, 2, 1, 3))
-
-
 def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
          attn_sink: Optional[list] = None) -> T.Tensor:
     """Multi-head self-attention of the block at `prefix` over x [B, N, d]:
@@ -341,13 +312,10 @@ def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
             f"input width {x.shape[-1]} does not match embed_dim {config.embed_dim} "
             f"({config.num_heads} heads of {config.head_dim})"
         )
-    b, n, d = x.shape
-    q = _project(x, params[prefix + "attn.q_weight"], params[prefix + "attn.q_bias"], config)
-    k = _project(x, params[prefix + "attn.k_weight"], params[prefix + "attn.k_bias"], config)
-    v = _project(x, params[prefix + "attn.v_weight"], params[prefix + "attn.v_bias"], config)
-    heads = attention(q, k, v, attn_sink)
-    merged = T.reshape(T.transpose(heads, (0, 2, 1, 3)), (b, n, d))
-    out = T.matmul(merged, params[prefix + "attn.out_weight"])
+    q, k, v = (T.matmul(x, params[f"{prefix}attn.{name}_weight"])
+               + params[f"{prefix}attn.{name}_bias"] for name in "qkv")
+    heads = T.attention(q, k, v, config.num_heads, attn_sink)
+    out = T.matmul(heads, params[prefix + "attn.out_weight"])
     return out + params[prefix + "attn.out_bias"]
 
 

@@ -13,6 +13,7 @@ precision downgrades cannot happen silently.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -166,11 +167,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def scale(a: Tensor, factor: float) -> Tensor:
-    factor = float(factor)  # keep python-float weak typing; numpy scalars would upcast f32
-    return _record(a.data * factor, (a,), lambda g: (g * factor,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
     _check_dtypes(a, b)
@@ -209,16 +205,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes: Optional[Sequence[int]] = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise DimensionError(f"transpose axes {axes} invalid for rank {a.data.ndim}")
-    inverse = np.argsort(axes)
-    return _record(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
-
-
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
@@ -248,15 +234,19 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     Rejects non-finite input; rows of the output are probability
     vectors (nonnegative, summing to 1 up to rounding).
     """
-    if not np.isfinite(a.data).all():
+    out = _softmax(a.data, axis)
+    return _record(out, (a,), lambda g: (_softmax_vjp(out, g, axis),))
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    if not np.isfinite(x).all():
         raise NumericError("softmax input contains NaN or Inf")
-    e = np.exp(a.data - _row_max(a.data, axis))
-    out = e / _row_sum(e, axis)
+    e = np.exp(x - _row_max(x, axis))
+    return e / _row_sum(e, axis)
 
-    def vjp(g):
-        return (out * (g - _row_sum(g * out, axis)),)
 
-    return _record(out, (a,), vjp)
+def _softmax_vjp(out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - _row_sum(g * out, axis))
 
 
 # Attention rows are 16 wide, and numpy's max and sum reductions cost
@@ -276,6 +266,48 @@ def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
 def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
     """x.sum(axis, keepdims=True), summed in einsum's order."""
     return np.expand_dims(np.einsum("...i->...", np.moveaxis(x, axis, -1)), axis)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              sink: Optional[list] = None) -> Tensor:
+    """Multi-head scaled dot-product self-attention of [B, N, d] inputs.
+
+    Per head of head_dim = d / num_heads features, softmax(q k^T /
+    sqrt(head_dim)) rows weight the values; the heads are concatenated
+    back to [B, N, d]. A list sink receives the weights [B, num_heads,
+    N, N]. One tape node, which keeps the weights but not the scores.
+    """
+    _check_dtypes(q, k, v)
+    if q.data.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % num_heads:
+        raise DimensionError(f"attention needs equal [B, N, d] inputs with d divisible by "
+                             f"{num_heads} heads, got {q.shape}, {k.shape} and {v.shape}")
+    b, n, d = q.shape
+    head_dim = d // num_heads
+
+    def split(x):  # [B, N, d] -> [B, heads, N, head_dim] view
+        return x.reshape(b, n, num_heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [B, heads, N, head_dim] -> [B, N, d]
+        return x.transpose(0, 2, 1, 3).reshape(b, n, d)
+
+    # the factor goes on q, not on the scores: with 16 tokens and head_dim
+    # 2 the queries are 8 times smaller
+    factor = 1.0 / math.sqrt(head_dim)
+    q_s, k_h, v_h = split(q.data) * factor, split(k.data), split(v.data)
+    alpha = _softmax(np.matmul(q_s, np.swapaxes(k_h, -1, -2)), -1)
+    if sink is not None:
+        sink.append(alpha)
+
+    def vjp(g):
+        g_h = split(g)
+        ds = _softmax_vjp(alpha, np.matmul(g_h, np.swapaxes(v_h, -1, -2)), -1)
+        dq = np.matmul(ds, k_h) * factor
+        # (q_s^T ds)^T, not ds^T q_s: the gradients' low bits follow operand order
+        dk = np.swapaxes(np.matmul(np.swapaxes(q_s, -1, -2), ds), -1, -2)
+        dv = np.matmul(np.swapaxes(alpha, -1, -2), g_h)
+        return merge(dq), merge(dk), merge(dv)
+
+    return _record(merge(np.matmul(alpha, v_h)), (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

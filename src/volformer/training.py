@@ -133,6 +133,8 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
 def predict_probs(params: M.ModelParams, config: M.ModelConfig,
                   volumes: Sequence[Volume], batch_size: int = 128) -> np.ndarray:
     """Class probabilities [n, classes] for a volume list."""
+    if not volumes:
+        raise DataError("cannot predict an empty set")
     voxels, _ = _stack(volumes)
     chunks = []
     for start in range(0, len(volumes), batch_size):

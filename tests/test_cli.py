@@ -126,6 +126,24 @@ class TestPreprocess:
         assert out["processed"] == 2 and out["skipped"] == 1
         assert "v1.vvol" in captured.err
 
+    def test_duplicate_output_names_exit_2_before_writing(self, tmp_path, capsys):
+        import volformer.data as D
+
+        cfg = write_config(tmp_path)
+        entries = []
+        for i, sub in enumerate(("a", "b")):
+            (tmp_path / sub).mkdir()
+            vol = D.Volume(f"x{i}", i, np.zeros((4, 8, 8, 1), np.float32))
+            D.write_volume(vol, tmp_path / sub / "x.vvol")
+            entries.append(D.ManifestEntry(path=f"{sub}/x.vvol", label=i))
+        D.DatasetManifest(entries=entries, base_dir=str(tmp_path)) \
+            .save(tmp_path / "manifest.jsonl")
+        (tmp_path / "processed").mkdir()
+        assert main(["preprocess", "--config", str(cfg), "--quiet"]) == 2
+        assert "'a/x.vvol' and 'b/x.vvol' would both be written as 'x.vvol'" \
+            in capsys.readouterr().err
+        assert os.listdir(tmp_path / "processed") == []
+
     @pytest.mark.parametrize("expr, message", [
         pytest.param(expr, message, id=expr) for expr, message in [
             ("preprocess.central_slices=-3", "central_slices must be >= 1"),
@@ -238,6 +256,44 @@ class TestTrainEvalPredict:
                      "--out", str(tmp_path / "pred.jsonl")]) == 2
         assert capsys.readouterr().err.count("pass --force") == 2
 
+    def test_predict_empty_manifest_exits_2(self, tmp_path, capsys):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        cfg = write_config(tmp_path)
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        (tmp_path / "manifest.jsonl").write_text("")
+        assert main(["predict", "--config", str(cfg), "--quiet"]) == 2
+        assert "cannot predict an empty set" in capsys.readouterr().err
+
+    def test_missing_output_directory_refused_before_any_work(self, synth_env, capsys,
+                                                              monkeypatch):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+        import volformer.training as TR
+
+        tmp_path, cfg = synth_env
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output directory check")
+
+        monkeypatch.setattr(TR, "predict_probs", fail)
+        monkeypatch.setattr(TR, "train", fail)
+        missing = tmp_path / "missing"
+        report = ["--set", f"paths.report={missing / 'report.json'}"]
+        assert main(["eval", "--config", str(cfg), "--quiet", *report]) == 2
+        assert main(["predict", "--config", str(cfg), "--quiet",
+                     "--out", str(missing / "pred.jsonl")]) == 2
+        assert main(["cv", "--config", str(cfg), "--quiet", "--force", *report]) == 2
+        assert capsys.readouterr().err.count("missing' of output") == 3
+        assert not missing.exists()
+        assert os.listdir(tmp_path / "ckpt") == ["model.vvck"]
+
 
 class TestInspectDefault:
     def test_reference_config_count(self, capsys):
@@ -283,6 +339,21 @@ class TestCrossValidation:
         assert "--repeats must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
         assert not list(tmp_path.glob("report*.json"))
+
+    def test_subject_mode_reaches_the_folds(self, synth_env, capsys, monkeypatch):
+        import volformer.data as D
+
+        tmp_path, cfg = synth_env
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("by_subject"))
+            raise D.DataError("stopped after the first fold cut")
+
+        monkeypatch.setattr(D, "make_folds", spy)
+        assert main(["cv", "--config", str(cfg), "--quiet",
+                     "--set", "split.stratify_by=subject"]) == 2
+        assert calls == [True]
 
 
 class TestConfigHandling:

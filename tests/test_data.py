@@ -253,6 +253,27 @@ def mixed_manifest():
     return D.DatasetManifest(entries=entries)
 
 
+@pytest.mark.parametrize("seed", [0, 4, 17])
+def test_subject_folds_keep_subjects_whole(seed):
+    manifest = mixed_manifest()
+    folds = D.make_folds(manifest, 3, seed=seed, by_subject=True)
+    tested = [e.path for f in folds for e in f.test]
+    assert sorted(tested) == sorted(e.path for e in manifest.entries)
+    for fold in folds:
+        assert sorted(e.path for e in fold.train_val + fold.test) == sorted(
+            e.path for e in manifest.entries)
+        test_subjects = {e.subject_id for e in fold.test} - {None}
+        assert test_subjects.isdisjoint(e.subject_id for e in fold.train_val)
+
+
+def test_subject_folds_with_an_empty_test_set_rejected():
+    # one three-scan subject per class: every class fills fold 0 only
+    entries = [D.ManifestEntry(path=f"s{i}.vvol", label=i // 3, subject_id=f"p{i // 3}")
+               for i in range(9)]
+    with pytest.raises(DataError, match="empty test set"):
+        D.make_folds(D.DatasetManifest(entries=entries), 3, seed=0, by_subject=True)
+
+
 def test_partition_outputs_pinned():
     """Tags and fold memberships on a fixed manifest match recorded digests,
     so any change to the shuffle order or the fill rule shows."""

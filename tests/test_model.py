@@ -163,30 +163,31 @@ class TestAttention:
         rng = np.random.default_rng(0)
         v = rng.standard_normal((1, 4))
         sink = []
-        out = M.attention(T.Tensor(rng.standard_normal((1, 4))),
-                          T.Tensor(rng.standard_normal((1, 4))),
-                          T.Tensor(v), attn_sink=sink)
-        np.testing.assert_allclose(out.data, v, atol=1e-12)
-        np.testing.assert_array_equal(sink[0], [[1.0]])
+        out = T.attention(T.Tensor(rng.standard_normal((1, 4))[None]),
+                          T.Tensor(rng.standard_normal((1, 4))[None]),
+                          T.Tensor(v[None]), num_heads=1, sink=sink)
+        np.testing.assert_allclose(out.data[0], v, atol=1e-12)
+        np.testing.assert_array_equal(sink[0], [[[[1.0]]]])
 
     def test_zero_queries_average_values(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((5, 3))
-        out = M.attention(T.Tensor(np.zeros((5, 3))),
-                          T.Tensor(rng.standard_normal((5, 3))), T.Tensor(v))
-        np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (5, 1)),
+        out = T.attention(T.Tensor(np.zeros((1, 5, 3))),
+                          T.Tensor(rng.standard_normal((5, 3))[None]), T.Tensor(v[None]),
+                          num_heads=1)
+        np.testing.assert_allclose(out.data[0], np.tile(v.mean(axis=0), (5, 1)),
                                    atol=1e-12)
 
     def test_two_token_hand_case(self):
         """Scores [[0, ln3], [0, 0]] make the first weight row [0.25, 0.75]."""
-        q = T.Tensor([[1.0], [0.0]])
-        k = T.Tensor([[0.0], [math.log(3.0)]])
-        v = T.Tensor([[1.0], [0.0]])
+        q = T.Tensor([[[1.0], [0.0]]])
+        k = T.Tensor([[[0.0], [math.log(3.0)]]])
+        v = T.Tensor([[[1.0], [0.0]]])
         sink = []
-        out = M.attention(q, k, v, attn_sink=sink)
-        np.testing.assert_allclose(sink[0][0], [0.25, 0.75], atol=1e-12)
-        np.testing.assert_allclose(sink[0][1], [0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(out.data[:, 0], [0.25, 0.5], atol=1e-12)
+        out = T.attention(q, k, v, num_heads=1, sink=sink)
+        np.testing.assert_allclose(sink[0][0, 0, 0], [0.25, 0.75], atol=1e-12)
+        np.testing.assert_allclose(sink[0][0, 0, 1], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(out.data[0, :, 0], [0.25, 0.5], atol=1e-12)
 
     def test_rows_are_probability_vectors(self, tiny):
         params = random_params(tiny, seed=6)
@@ -214,7 +215,8 @@ class TestMhsa:
         q = x @ w("q_weight") + w("q_bias")
         k = x @ w("k_weight") + w("k_bias")
         v = x @ w("v_weight") + w("v_bias")
-        single = M.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v)).data
+        single = T.attention(T.Tensor(q[None]), T.Tensor(k[None]), T.Tensor(v[None]),
+                             num_heads=1).data[0]
         expected = single @ w("out_weight") + w("out_bias")
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -285,6 +287,14 @@ class TestEncoderBlock:
         x = 1e3 * np.random.default_rng(4).standard_normal((1, 8, 8))
         out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
         assert np.isfinite(out.data).all()
+
+    def test_records_18_tape_nodes(self, tiny):
+        """2 layer norms, 2 residual adds, q/k/v projections with biases (6),
+        the attention op, the output projection and bias (2), and the FFN (5)."""
+        params = random_params(tiny, seed=15)
+        with T.Tape() as tape:
+            M.encoder_block(T.Tensor(np.zeros((1, 8, 8))), params, "layers.0.", tiny)
+        assert len(tape.nodes) == 18
 
     def test_gradient_wrt_input(self, tiny):
         params = random_params(tiny, seed=14)

@@ -109,14 +109,6 @@ class TestForwardSemantics:
         back = T.reshape(T.reshape(x, (b * a,)), (a, b))
         assert (back.data == x.data).all()
 
-    def test_transpose_involution_bit_exact(self):
-        rng = np.random.default_rng(3)
-        x = leaf(rng.standard_normal((2, 3, 4)))
-        perm = (2, 0, 1)
-        inverse = tuple(np.argsort(perm))
-        back = T.transpose(T.transpose(x, perm), inverse)
-        assert (back.data == x.data).all()
-
     def test_cross_entropy_values(self):
         # zero logits over 3 classes -> uniform -> ln 3
         loss = T.softmax_cross_entropy(leaf(np.zeros((2, 3))), [0, 2])
@@ -136,13 +128,13 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_mean_square_gradient(self):
-        """d/dx mean(x^2) = 2x/n; at x=[1,2] that is [1, 2]."""
+        """d/dx sum(x^2) = 2x; at x=[1,2] that is [2, 4]."""
         x = leaf([1.0, 2.0])
         with T.Tape() as tape:
             squares = T.matmul(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)))
-            out = T.scale(T.reshape(squares, ()), 0.5)
+            out = T.reshape(squares, ())
         tape.backward(out)
-        np.testing.assert_allclose(x.grad, [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_unused_leaf_gets_zeros(self):
         x, unused = leaf([1.0, 2.0]), leaf([[3.0]])
@@ -203,13 +195,22 @@ def _away_from_kinks(arr, margin=0.05):
     return out
 
 
+def _attention_case(wrt):
+    """x [3, 4] as the q, k or v of 2 heads of 2 features over 3 tokens;
+    the other two inputs are constants made from c."""
+    def case(x, c):
+        args = {"q": T.Tensor(c[None]), "k": T.Tensor(np.roll(c, 1, axis=1)[None]),
+                "v": T.Tensor(c[None, ::-1])}
+        args[wrt] = T.reshape(x, (1, 3, 4))
+        return project(T.attention(args["q"], args["k"], args["v"], num_heads=2), c)
+    return case
+
+
 class TestFiniteDifferenceOracle:
     """Every differentiable op agrees with central differences < 1e-6."""
 
     CASES = {
         "add": lambda x, c: project(T.add(x, T.Tensor(c[0])), c),
-        "scale_shift": lambda x, c: project(
-            T.scale(T.add(x, T.Tensor(np.full_like(c, 0.7))), 1.3), c),
         "matmul": lambda x, c: project(T.matmul(x, T.Tensor(c.T)), c @ c.T),
         # a constant rank-3 left operand: the weight gradient is one GEMM
         # over the flattened leading axes
@@ -217,10 +218,12 @@ class TestFiniteDifferenceOracle:
             T.matmul(T.Tensor(np.stack([c.T, c.T[:, ::-1]])), x),
             np.stack([c.T, c.T[:, ::-1]]) @ c),
         "reshape": lambda x, c: project(T.reshape(x, (x.size,)), c.reshape(-1)),
-        "transpose": lambda x, c: project(T.transpose(x), c.T),
         "reduce_mean_axis": lambda x, c: project(T.reduce_mean(x, axis=0), c[0]),
         "relu": lambda x, c: project(T.relu(x), c),
         "softmax": lambda x, c: project(T.softmax(x, axis=-1), c),
+        "attention_q": _attention_case("q"),
+        "attention_k": _attention_case("k"),
+        "attention_v": _attention_case("v"),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
