@@ -406,7 +406,8 @@ def cmd_cv(run: RunConfig, args) -> int:
             train_entries, val_entries = data.carve_validation(
                 fold.train_val, inner_val_fraction,
                 seed=rng.derive_seed(run.split.seed, rep, i),
-                num_classes=run.model.num_classes)
+                num_classes=run.model.num_classes,
+                by_subject=run.split.stratify_by == "subject")
             ckpt = fold_checkpoints[r * k + i]
             _train_fresh(run, manifest, train_entries, val_entries, (rep, i),
                          checkpoint_path=ckpt)

@@ -380,14 +380,16 @@ def stratified_split(manifest: DatasetManifest, spec: SplitSpec) -> DatasetManif
 
 
 def carve_validation(entries: Sequence[ManifestEntry], val_fraction: float,
-                     seed: int, num_classes: int
+                     seed: int, num_classes: int, by_subject: bool = False
                      ) -> tuple[list[ManifestEntry], list[ManifestEntry]]:
     """Carve a stratified validation subset out of a fold's non-test part.
 
     Per class (ascending, one seeded stream) the entries are shuffled and
     round(val_fraction * n) of them (clamped to [1, n-1]) become
-    validation. Used by cross-validation, where the three-way fractions
-    no longer apply inside a fold.
+    validation. With by_subject whole subjects move together and the
+    validation side is filled greedily to that same target; a class that
+    would then sit on one side only is an error. Used by cross-validation,
+    where the three-way fractions no longer apply inside a fold.
     """
     if not 0 < val_fraction < 1:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
@@ -398,7 +400,10 @@ def carve_validation(entries: Sequence[ManifestEntry], val_fraction: float,
         # an empty class has no units, so its (negative) target is never read
         return [min(max(1, _round_half_up(val_fraction * n)), n - 1)]
 
-    buckets = _stratified_fill(entries, num_classes, seed, targets)
+    buckets = _stratified_fill(entries, num_classes, seed, targets, by_subject=by_subject)
+    for label in range(num_classes):
+        if len({b for e, b in zip(entries, buckets) if e.label == label}) == 1:
+            raise DataError(f"class {label} has too few subjects to carve validation")
     train = [e for e, b in zip(entries, buckets) if b == 1]
     val = [e for e, b in zip(entries, buckets) if b == 0]
     return train, val

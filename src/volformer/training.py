@@ -112,18 +112,50 @@ def _stack(volumes: Sequence[Volume]) -> tuple[np.ndarray, np.ndarray]:
     return voxels, labels
 
 
+# Every forward and backward runs on at most _CHUNK volumes. At 128 volumes
+# each attention-weight array [128, 16, 16, 16] float32 is 2 MB, a whole
+# per-core L2 of a 2-core Xeon, and every elementwise pass over it misses the
+# cache: there (OpenBLAS, one BLAS thread) a 128-volume reference forward took
+# 261-269 ms as one pass and 177-184 ms in chunks of 32.
+_CHUNK = 32
+
+
+def _chunks(n: int) -> list[slice]:
+    """Cut n rows into ceil(n / _CHUNK) nearly equal slices of at most _CHUNK.
+
+    Every boundary falls on a multiple of 4: OpenBLAS's GEMM results depend
+    on a row's position mod 4, so each row keeps the bits of one pass over
+    all n. The last slice holds more than n / k - 4 rows for k >= 2 slices,
+    so none is a single row (which numpy sends to GEMV) unless n == 1.
+    """
+    k = -(-n // _CHUNK)
+    bounds = [4 * -(-i * n // (4 * k)) for i in range(k)] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _batch_logits(voxels: np.ndarray, params: M.ModelParams,
+                  config: M.ModelConfig) -> T.Tensor:
+    """Logits of one batch, forwarded chunk by chunk; bit-identical to one
+    forward_logits pass over the batch."""
+    return T.Tensor(np.concatenate(
+        [M.forward_logits(voxels[s], params, config).data for s in _chunks(len(voxels))]))
+
+
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],
              batch_size: int = 128) -> tuple[float, float]:
-    """(mean cross-entropy, accuracy) over a volume list, without a tape."""
+    """(mean cross-entropy, accuracy) over a volume list, without a tape.
+
+    The loss is averaged per batch of batch_size and then over the set, so
+    batch_size sets the low bits of the result.
+    """
     if not volumes:
         raise DataError("cannot evaluate an empty set")
     voxels, labels = _stack(volumes)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(volumes), batch_size):
-        vb = voxels[start : start + batch_size]
         lb = labels[start : start + batch_size]
-        logits = M.forward_logits(vb, params, config)
+        logits = _batch_logits(voxels[start : start + batch_size], params, config)
         loss = T.softmax_cross_entropy(logits, lb)
         total_loss += float(loss.data) * len(lb)
         correct += int((M.predict_classes(logits.data) == lb).sum())
@@ -136,11 +168,43 @@ def predict_probs(params: M.ModelParams, config: M.ModelConfig,
     if not volumes:
         raise DataError("cannot predict an empty set")
     voxels, _ = _stack(volumes)
-    chunks = []
-    for start in range(0, len(volumes), batch_size):
-        probs = M.forward(voxels[start : start + batch_size], params, config)
-        chunks.append(probs.data)
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([
+        T.softmax(_batch_logits(voxels[start : start + batch_size], params, config)).data
+        for start in range(0, len(volumes), batch_size)])
+
+
+def _batch_gradient(params: M.ModelParams, config: M.ModelConfig, tokens: np.ndarray,
+                    labels: np.ndarray, idx: np.ndarray, buf: np.ndarray,
+                    leaves: Sequence[T.Tensor]) -> float:
+    """Set every leaf's .grad to the gradient of the mean cross-entropy over
+    the rows idx of tokens, and return the summed loss of those rows.
+
+    Each chunk of the batch runs on its own tape, with its token rows
+    gathered into buf (which the embed VJP reads, so the next gather waits
+    for the chunk's backward); the chunk gradients are summed, each weighted
+    by its share of the batch.
+    """
+    loss_sum = 0.0
+    total = None
+    for s in _chunks(len(idx)):
+        rows = idx[s]
+        # rows index tokens by construction; mode="raise" would copy through
+        # a temporary buffer
+        x = np.take(tokens, rows, axis=0, out=buf[: len(rows)], mode="clip")
+        with T.Tape() as tape:
+            logits = M.logits_from_tokens(x, params, config)
+            loss = T.softmax_cross_entropy(logits, labels[rows])
+        tape.backward(loss, leaves=leaves)
+        loss_sum += float(loss.data) * len(rows)
+        w = len(rows) / len(idx)  # 1.0 for a one-chunk batch, which keeps its bits
+        if total is None:
+            total = [leaf.grad * w for leaf in leaves]
+        else:
+            for acc, leaf in zip(total, leaves):
+                acc += leaf.grad * w
+    for leaf, g in zip(leaves, total):
+        leaf.grad = g
+    return loss_sum
 
 
 @dataclass
@@ -158,10 +222,12 @@ def train(params: M.ModelParams, config: M.ModelConfig,
 
     Each epoch reshuffles the training set from a stream derived from
     cfg.seed (derive_seed(seed, 1)), walks it in batches of
-    cfg.batch_size (last partial batch kept), and evaluates the
-    validation set. A checkpoint is written only when the monitored
-    metric strictly improves. Identical seeds give bit-identical
-    histories and checkpoint bytes.
+    cfg.batch_size (last partial batch kept), one Adam step per batch,
+    and evaluates the validation set. A batch's forward and backward run
+    in chunks of at most _CHUNK volumes, so peak memory stops growing
+    with cfg.batch_size past _CHUNK. A checkpoint is written only when
+    the monitored metric strictly improves. Identical seeds give
+    bit-identical histories and checkpoint bytes.
 
     The history file at history_path is JSONL, one {"epoch",
     "train_loss", "val_loss", "val_acc", "checkpointed"} record per
@@ -172,10 +238,11 @@ def train(params: M.ModelParams, config: M.ModelConfig,
         raise DataError("train and validation sets must be non-empty")
     voxels, labels = _stack(train_set)
     # tokenizing is a pure rearrangement, so the set is tokenized once and
-    # each batch gathers its token rows
+    # each chunk gathers its token rows into buf
     tokens = M.tokenize(voxels, config)
     del voxels
     n = len(train_set)
+    buf = np.empty((min(n, cfg.batch_size, _CHUNK),) + tokens.shape[1:], tokens.dtype)
     leaves = params.tensors()
     state = AdamState(params)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
@@ -190,13 +257,10 @@ def train(params: M.ModelParams, config: M.ModelConfig,
             shuffle_rng.shuffle(order)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
-                batch_idx = order[start : start + cfg.batch_size]
-                with T.Tape() as tape:
-                    logits = M.logits_from_tokens(tokens[batch_idx], params, config)
-                    loss = T.softmax_cross_entropy(logits, labels[batch_idx])
-                tape.backward(loss, leaves=leaves)
+                idx = np.array(order[start : start + cfg.batch_size])
+                epoch_loss += _batch_gradient(params, config, tokens, labels, idx, buf,
+                                              leaves)
                 adam_step(params, state, cfg)
-                epoch_loss += float(loss.data) * len(batch_idx)
             val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
             metric = val_loss if minimize else val_acc
             improved = metric < best if minimize else metric > best

@@ -341,19 +341,27 @@ class TestCrossValidation:
         assert not list(tmp_path.glob("report*.json"))
 
     def test_subject_mode_reaches_the_folds(self, synth_env, capsys, monkeypatch):
+        """Both the fold cut and each fold's validation carve get the
+        subject mode."""
         import volformer.data as D
 
         tmp_path, cfg = synth_env
         calls = []
+        make_folds = D.make_folds
 
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("by_subject"))
-            raise D.DataError("stopped after the first fold cut")
+        def folds_spy(*args, **kwargs):
+            calls.append(("folds", kwargs.get("by_subject")))
+            return make_folds(*args, **kwargs)
 
-        monkeypatch.setattr(D, "make_folds", spy)
+        def carve_spy(*args, **kwargs):
+            calls.append(("carve", kwargs.get("by_subject")))
+            raise D.DataError("stopped at the first carve")
+
+        monkeypatch.setattr(D, "make_folds", folds_spy)
+        monkeypatch.setattr(D, "carve_validation", carve_spy)
         assert main(["cv", "--config", str(cfg), "--quiet",
                      "--set", "split.stratify_by=subject"]) == 2
-        assert calls == [True]
+        assert calls == [("folds", True), ("carve", True)]
 
 
 class TestConfigHandling:

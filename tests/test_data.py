@@ -402,3 +402,23 @@ def test_split_counts_follow_rounding_rule(per_class, seed):
         assert tags.count("train") == n_train
         assert tags.count("val") == n_val
         assert tags.count("test") == per_class - n_train - n_val
+
+
+def test_subject_carve_keeps_subjects_whole():
+    """Inside subject folds (k=3, seed 4) a 0.25 carve at scan level puts
+    10 subjects on both sides; the subject carve puts none."""
+    for i, fold in enumerate(D.make_folds(mixed_manifest(), 3, seed=4, by_subject=True)):
+        train, val = D.carve_validation(fold.train_val, 0.25, seed=i, num_classes=3,
+                                        by_subject=True)
+        assert sorted(e.path for e in train + val) == sorted(e.path for e in fold.train_val)
+        for c in range(3):
+            assert any(e.label == c for e in val) and any(e.label == c for e in train)
+        val_subjects = {e.subject_id for e in val} - {None}
+        assert val_subjects.isdisjoint(e.subject_id for e in train)
+
+
+def test_subject_carve_with_one_subject_per_class_rejected():
+    entries = [D.ManifestEntry(path=f"s{i}.vvol", label=i // 3, subject_id=f"p{i // 3}")
+               for i in range(6)]
+    with pytest.raises(DataError, match="too few subjects"):
+        D.carve_validation(entries, 0.3, seed=0, num_classes=2, by_subject=True)

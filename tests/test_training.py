@@ -252,3 +252,76 @@ class TestTrainLoop:
             TR.adam_step = original
         # 9 volumes in batches of 4 -> 3 steps (4, 4, 1)
         assert len(seen) == 3
+
+
+class TestMicroBatches:
+    """A batch runs as chunks of at most TR._CHUNK volumes; the results must
+    match one pass over the whole batch."""
+
+    def test_chunks_cover_the_batch(self):
+        for n in range(1, 301):
+            chunks = TR._chunks(n)
+            covered = [i for s in chunks for i in range(n)[s]]
+            assert covered == list(range(n)), n
+            sizes = [s.stop - s.start for s in chunks]
+            assert len(chunks) == math.ceil(n / TR._CHUNK), n
+            assert max(sizes) <= TR._CHUNK, n
+            assert n == 1 or min(sizes) > 1, n
+            assert all(size % 4 == 0 for size in sizes[:-1]), n
+
+    def test_inference_bit_identical_to_one_pass(self):
+        """At the reference config, predict_probs and evaluate over one
+        batch of n volumes equal one forward_logits pass bit for bit."""
+        config = M.ModelConfig()
+        params = M.ModelParams.initialize(config, seed=0)
+        rng = np.random.default_rng(5)
+        voxels = rng.random((200,) + config.input_shape, dtype=np.float32)
+        labels = rng.integers(0, config.num_classes, size=200)
+        volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(200)]
+        for n in (1, 3, 33, 67, 72, 97, 128, 200):
+            logits = M.forward_logits(voxels[:n], params, config)
+            probs = T.softmax(logits).data
+            np.testing.assert_array_equal(
+                TR.predict_probs(params, config, volumes[:n], n), probs, err_msg=f"n={n}")
+            loss = float(T.softmax_cross_entropy(logits, labels[:n]).data)
+            acc = int((M.predict_classes(logits.data) == labels[:n]).sum()) / n
+            assert TR.evaluate(params, config, volumes[:n], n) == (loss * n / n, acc), n
+
+    def test_gradient_matches_one_tape(self):
+        """67 volumes run as chunks of 24, 24 and 19, so a weight that
+        ignored the chunk sizes would show."""
+        n = 67
+        config = tiny_config()
+        params = random_params(config, seed=6)  # float64
+        rng = np.random.default_rng(7)
+        tokens = M.tokenize(rng.standard_normal((n,) + config.input_shape), config)
+        labels = rng.integers(0, config.num_classes, size=n)
+        idx = rng.permutation(n)
+        leaves = params.tensors()
+        with T.Tape() as tape:
+            loss = T.softmax_cross_entropy(
+                M.logits_from_tokens(tokens[idx], params, config), labels[idx])
+        tape.backward(loss, leaves=leaves)
+        whole = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+
+        buf = np.empty((TR._CHUNK,) + tokens.shape[1:], tokens.dtype)
+        loss_sum = TR._batch_gradient(params, config, tokens, labels, idx, buf, leaves)
+        chunked = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+        assert len(TR._chunks(n)) == 3
+        assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
+        assert loss_sum / n == pytest.approx(float(loss.data), rel=1e-12)
+
+    def test_train_loss_is_the_batch_mean(self, tmp_path):
+        """One epoch of one 67-volume batch logs the mean loss over the
+        batch at the starting parameters."""
+        config = tiny_config()
+        train = gen_synthetic(23, config.input_shape, seed=11,
+                              out_dir=tmp_path / "tr").load_volumes()[:67]
+        params = M.ModelParams.initialize(config, seed=3)
+        voxels = np.stack([v.voxels for v in train])
+        labels = np.array([v.label for v in train])
+        log_probs = np.log(M.forward(voxels, params, config).data.astype(np.float64))
+        expected = -log_probs[np.arange(67), labels].mean()
+        result = TR.train(params, config, train, train[:3],
+                          TR.TrainConfig(epochs=1, batch_size=67, seed=1))
+        assert result.history[0]["train_loss"] == pytest.approx(expected, rel=1e-6)
