@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (CheckpointMismatchError, ConfigError, DimensionError,
-                     require_field_types)
+                     UsageError, require_field_types)
 from .rng import Rng
 
 
@@ -250,14 +250,16 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def extract_tubelets(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
+def extract_tubelets(batch: np.ndarray, config: ModelConfig,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
     """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch.
 
     Tokens are ordered slice-block-major, then height, then width; within
     a token the voxel order is (t, h, w, c) row-major. Together a
     volume's tokens are a bijective rearrangement of the (cropped)
     volume; trailing voxels that do not fill a tubelet are cropped with
-    a warning.
+    a warning. Given a C-contiguous [B, N, token_width] array out, the
+    tokens are written into it (cast to its dtype) and out is returned.
     """
     b, t, h, w, c = batch.shape
     gt = t // config.patch_slices
@@ -276,10 +278,15 @@ def extract_tubelets(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
             stacklevel=2,
         )
         batch = batch[:, :kept[0], :kept[1], :kept[2], :]
-    tokens = batch.reshape(b, gt, config.patch_slices, gh, config.patch_height,
-                           gw, config.patch_width, c)
-    tokens = tokens.transpose(0, 1, 3, 5, 2, 4, 6, 7)
-    return tokens.reshape(b, gt * gh * gw, config.token_width)
+    tubelets = (b, gt, config.patch_slices, gh, config.patch_height, gw, config.patch_width, c)
+    tokens = batch.reshape(tubelets).transpose(0, 1, 3, 5, 2, 4, 6, 7)
+    if out is None:
+        return tokens.reshape(b, gt * gh * gw, config.token_width)
+    if out.shape != (b, gt * gh * gw, config.token_width) or not out.flags.c_contiguous:
+        raise UsageError(f"token buffer must be C-contiguous "
+                         f"{(b, gt * gh * gw, config.token_width)}, got {out.shape}")
+    np.copyto(out.reshape(tokens.shape), tokens)
+    return out
 
 
 def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Tensor:
@@ -298,8 +305,11 @@ def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Ten
             f"{token_grid(config).total}"
         )
     weight = params["embed.weight"]
-    x = T.Tensor(tokens.astype(weight.dtype, copy=False))
-    z = T.matmul(x, weight) + params["embed.bias"]
+    b, n, width = tokens.shape
+    # one GEMM over all B * N token rows reads the weight once, where a
+    # batched product would re-read it for every volume
+    x = T.Tensor(tokens.reshape(b * n, width).astype(weight.dtype, copy=False))
+    z = T.reshape(T.matmul(x, weight), (b, n, config.embed_dim)) + params["embed.bias"]
     return z + params["pos_embed"]
 
 
@@ -353,15 +363,17 @@ def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> 
     return T.matmul(pooled, params["head.weight"]) + params["head.bias"]
 
 
-def tokenize(volumes: np.ndarray, config: ModelConfig) -> np.ndarray:
+def tokenize(volumes: np.ndarray, config: ModelConfig,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch in the
-    configured input shape."""
+    configured input shape, written into out when given (see
+    extract_tubelets)."""
     if volumes.shape[1:] != config.input_shape:
         raise DimensionError(
             f"volume shape {volumes.shape[1:]} does not match configured input "
             f"{config.input_shape}"
         )
-    return extract_tubelets(volumes, config)
+    return extract_tubelets(volumes, config, out)
 
 
 def logits_from_tokens(tokens: np.ndarray, params: ModelParams, config: ModelConfig,

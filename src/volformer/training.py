@@ -13,8 +13,8 @@ from . import model as M
 from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Volume
-from .errors import (ConfigError, DataError, NumericError, UsageError,
-                     require_field_types)
+from .errors import (ConfigError, DataError, DimensionError, NumericError,
+                     UsageError, require_field_types)
 from .rng import Rng, derive_seed
 
 MONITORS = ("val_loss", "val_acc")
@@ -106,10 +106,28 @@ def adam_step(params: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None
     state.step_count = t
 
 
-def _stack(volumes: Sequence[Volume]) -> tuple[np.ndarray, np.ndarray]:
-    voxels = np.stack([v.voxels for v in volumes]).astype(np.float32, copy=False)
-    labels = np.array([v.label for v in volumes], dtype=np.int64)
-    return voxels, labels
+def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
+    """Raise DimensionError naming the first volume whose shape is not the
+    configured input shape."""
+    for volume in volumes:
+        if volume.voxels.shape != config.input_shape:
+            raise DimensionError(
+                f"volume {volume.id!r} has shape {volume.voxels.shape}, which does not "
+                f"match configured input {config.input_shape}")
+
+
+def _tokenize_into(volumes: Sequence[Volume], config: M.ModelConfig,
+                   out: np.ndarray) -> np.ndarray:
+    """Tokens [len(volumes), N, token_width] in the leading rows of the
+    float32 buffer out, written volume by volume: no stacked copy of the
+    voxels is made. Shapes must have passed _check_shapes."""
+    for i, volume in enumerate(volumes):
+        M.tokenize(volume.voxels[None], config, out=out[i : i + 1])
+    return out[: len(volumes)]
+
+
+def _token_buffer(rows: int, config: M.ModelConfig) -> np.ndarray:
+    return np.empty((rows, M.token_grid(config).total, config.token_width), np.float32)
 
 
 # Every forward and backward runs on at most _CHUNK volumes. At 128 volumes
@@ -133,12 +151,13 @@ def _chunks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _batch_logits(voxels: np.ndarray, params: M.ModelParams,
-                  config: M.ModelConfig) -> T.Tensor:
-    """Logits of one batch, forwarded chunk by chunk; bit-identical to one
-    forward_logits pass over the batch."""
+def _batch_logits(volumes: Sequence[Volume], params: M.ModelParams,
+                  config: M.ModelConfig, buf: np.ndarray) -> T.Tensor:
+    """Logits of one batch, forwarded chunk by chunk through the token
+    buffer buf; bit-identical to one forward_logits pass over the batch."""
     return T.Tensor(np.concatenate(
-        [M.forward_logits(voxels[s], params, config).data for s in _chunks(len(voxels))]))
+        [M.logits_from_tokens(_tokenize_into(volumes[s], config, buf), params, config).data
+         for s in _chunks(len(volumes))]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],
@@ -150,12 +169,14 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
     """
     if not volumes:
         raise DataError("cannot evaluate an empty set")
-    voxels, labels = _stack(volumes)
+    _check_shapes(volumes, config)
+    labels = np.array([v.label for v in volumes], dtype=np.int64)
+    buf = _token_buffer(min(len(volumes), _CHUNK), config)
     total_loss = 0.0
     correct = 0
     for start in range(0, len(volumes), batch_size):
         lb = labels[start : start + batch_size]
-        logits = _batch_logits(voxels[start : start + batch_size], params, config)
+        logits = _batch_logits(volumes[start : start + batch_size], params, config, buf)
         loss = T.softmax_cross_entropy(logits, lb)
         total_loss += float(loss.data) * len(lb)
         correct += int((M.predict_classes(logits.data) == lb).sum())
@@ -167,9 +188,11 @@ def predict_probs(params: M.ModelParams, config: M.ModelConfig,
     """Class probabilities [n, classes] for a volume list."""
     if not volumes:
         raise DataError("cannot predict an empty set")
-    voxels, _ = _stack(volumes)
+    _check_shapes(volumes, config)
+    buf = _token_buffer(min(len(volumes), _CHUNK), config)
     return np.concatenate([
-        T.softmax(_batch_logits(voxels[start : start + batch_size], params, config)).data
+        T.softmax(_batch_logits(volumes[start : start + batch_size], params, config,
+                                buf)).data
         for start in range(0, len(volumes), batch_size)])
 
 
@@ -220,8 +243,10 @@ def train(params: M.ModelParams, config: M.ModelConfig,
           on_epoch: Optional[Callable[[dict], None]] = None) -> TrainResult:
     """Run the epoch loop with improvement-gated checkpointing.
 
-    Each epoch reshuffles the training set from a stream derived from
-    cfg.seed (derive_seed(seed, 1)), walks it in batches of
+    Every train and validation volume must have the configured input
+    shape; a DimensionError naming the first that does not is raised
+    before epoch 1. Each epoch reshuffles the training set from a stream
+    derived from cfg.seed (derive_seed(seed, 1)), walks it in batches of
     cfg.batch_size (last partial batch kept), one Adam step per batch,
     and evaluates the validation set. A batch's forward and backward run
     in chunks of at most _CHUNK volumes, so peak memory stops growing
@@ -236,12 +261,13 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
-    voxels, labels = _stack(train_set)
+    _check_shapes(train_set, config)
+    _check_shapes(val_set, config)
+    n = len(train_set)
+    labels = np.array([v.label for v in train_set], dtype=np.int64)
     # tokenizing is a pure rearrangement, so the set is tokenized once and
     # each chunk gathers its token rows into buf
-    tokens = M.tokenize(voxels, config)
-    del voxels
-    n = len(train_set)
+    tokens = _tokenize_into(train_set, config, _token_buffer(n, config))
     buf = np.empty((min(n, cfg.batch_size, _CHUNK),) + tokens.shape[1:], tokens.dtype)
     leaves = params.tensors()
     state = AdamState(params)

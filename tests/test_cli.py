@@ -295,6 +295,53 @@ class TestTrainEvalPredict:
         assert os.listdir(tmp_path / "ckpt") == ["model.vvck"]
 
 
+def reshape_one_volume(tmp_path, split):
+    """Tag the synth manifest with the default stratified split and rewrite
+    the first volume of `split` one voxel narrower than the configured
+    input; return that volume's id."""
+    from volformer import data
+
+    manifest = data.stratified_split(
+        data.DatasetManifest.load(tmp_path / "manifest.jsonl"), data.SplitSpec())
+    manifest.save(tmp_path / "manifest.jsonl")
+    entry = manifest.subset(split)[0]
+    volume = manifest.load_volume(entry)
+    narrow = np.ascontiguousarray(volume.voxels[:, :, 1:, :])
+    data.write_volume(data.Volume(volume.id, volume.label, narrow),
+                      manifest.volume_path(entry))
+    return volume.id
+
+
+class TestMixedShapes:
+    """One volume of another shape among the rest exits 1 naming it, where
+    stacking the set used to end in a ValueError traceback."""
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train_checks_every_volume_before_epoch_1(self, synth_env, capsys, split):
+        tmp_path, cfg = synth_env
+        odd = reshape_one_volume(tmp_path, split)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert odd in err and "does not match configured input" in err
+        assert not (tmp_path / "history.jsonl").exists()
+        assert os.listdir(tmp_path / "ckpt") == []
+
+    @pytest.mark.parametrize("command", [["eval"], ["predict"], ["cv"]])
+    def test_inference_and_cv_exit_1(self, synth_env, capsys, command):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        tmp_path, cfg = synth_env
+        odd = reshape_one_volume(tmp_path, "test")
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        assert main([*command, "--config", str(cfg), "--quiet",
+                     "--set", "train.epochs=1"]) == 1
+        assert odd in capsys.readouterr().err
+        assert not list(tmp_path.glob("report*.json"))
+
+
 class TestInspectDefault:
     def test_reference_config_count(self, capsys):
         assert main(["inspect", "--quiet"]) == 0

@@ -12,7 +12,7 @@ from volformer import tensor as T
 from volformer.checkpoint import (load_checkpoint, read_raw_checkpoint,
                                   save_checkpoint)
 from volformer.errors import (CheckpointMismatchError, ConfigError,
-                              DimensionError, FormatError)
+                              DimensionError, FormatError, UsageError)
 
 REFERENCE_CONFIG = M.ModelConfig()  # reference setup is the default
 
@@ -107,6 +107,15 @@ class TestExtractTubelets:
         rebuilt = rebuilt.transpose(0, 3, 1, 4, 2, 5, 6).reshape(vox.shape)
         assert (rebuilt == vox).all()
 
+    def test_writes_into_a_buffer(self, tiny):
+        vox = np.random.default_rng(1).standard_normal((2, 4, 8, 8, 1))
+        out = np.empty((3, 8, tiny.token_width), np.float32)
+        got = M.extract_tubelets(vox, tiny, out=out[1:])
+        assert got.base is out
+        np.testing.assert_array_equal(out[1:], M.extract_tubelets(vox, tiny).astype(np.float32))
+        with pytest.raises(UsageError):
+            M.extract_tubelets(vox, tiny, out=out[:, ::2])
+
     def test_constant_volume_gives_identical_tokens(self, tiny):
         tokens = M.extract_tubelets(np.full((1, 4, 8, 8, 1), 2.5, np.float32), tiny)[0]
         assert (tokens == tokens[0]).all()
@@ -199,6 +208,63 @@ class TestAttention:
         for alpha in sink:
             assert (alpha >= 0).all()
             np.testing.assert_allclose(alpha.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def split_heads(x, num_heads):
+    b, n, d = x.shape
+    return x.reshape(b, n, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def merge_heads(x):
+    b, heads, n, head_dim = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, n, heads * head_dim)
+
+
+class TestAttentionOp:
+    """T.attention against restatements of its formula."""
+
+    @pytest.mark.parametrize("batch, num_heads", [(1, 16), (3, 16), (32, 16), (5, 4), (4, 32)])
+    def test_forward_bit_identical_to_strided_formula(self, batch, num_heads):
+        """The heads as strided views, k^T as a view, a fresh array per
+        softmax step and a merge copy: the op must give the same bits."""
+        rng = np.random.default_rng(batch * 100 + num_heads)
+        q, k, v = (rng.standard_normal((batch, 16, 32)).astype(np.float32) for _ in "qkv")
+        head_dim = 32 // num_heads
+        scores = np.matmul(split_heads(q, num_heads) * (1.0 / math.sqrt(head_dim)),
+                           np.swapaxes(split_heads(k, num_heads), -1, -2))
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        alpha = e / np.einsum("...i->...", e)[..., None]
+        expected = merge_heads(np.matmul(alpha, split_heads(v, num_heads)))
+        sink = []
+        out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), num_heads, sink)
+        np.testing.assert_array_equal(sink[0], alpha)
+        np.testing.assert_array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("head_dim", [1, 2, 4, 8])
+    def test_vjp_matches_softmax_jacobian(self, head_dim):
+        """In float64 the VJP equals the chain rule through the explicit
+        softmax Jacobian diag(a) - a a^T of every weight row."""
+        rng = np.random.default_rng(head_dim)
+        num_heads = 8 // head_dim
+        q, k, v, g = (rng.standard_normal((2, 5, 8)) for _ in range(4))
+        leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        with T.Tape() as tape:
+            loss = project(T.attention(*leaves, num_heads), g)
+        tape.backward(loss)
+
+        q_s = split_heads(q, num_heads) / math.sqrt(head_dim)
+        k_h, v_h, g_h = (split_heads(x, num_heads) for x in (k, v, g))
+        scores = q_s @ np.swapaxes(k_h, -1, -2)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        alpha = e / e.sum(axis=-1, keepdims=True)
+        jacobian = (np.einsum("...ij,jk->...ijk", alpha, np.eye(5))
+                    - np.einsum("...ij,...ik->...ijk", alpha, alpha))
+        ds = np.einsum("...ijk,...ik->...ij", jacobian, g_h @ np.swapaxes(v_h, -1, -2))
+        expected = [merge_heads(ds @ k_h) / math.sqrt(head_dim),
+                    merge_heads(np.swapaxes(ds, -1, -2) @ q_s),
+                    merge_heads(np.swapaxes(alpha, -1, -2) @ g_h)]
+        for leaf, want in zip(leaves, expected):
+            assert np.linalg.norm(leaf.grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestMhsa:

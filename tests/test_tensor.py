@@ -195,14 +195,14 @@ def _away_from_kinks(arr, margin=0.05):
     return out
 
 
-def _attention_case(wrt):
-    """x [3, 4] as the q, k or v of 2 heads of 2 features over 3 tokens;
-    the other two inputs are constants made from c."""
+def _attention_case(wrt, num_heads=2):
+    """x [3, 4] as the q, k or v of num_heads heads of 4 / num_heads
+    features over 3 tokens; the other two inputs are constants made from c."""
     def case(x, c):
         args = {"q": T.Tensor(c[None]), "k": T.Tensor(np.roll(c, 1, axis=1)[None]),
                 "v": T.Tensor(c[None, ::-1])}
         args[wrt] = T.reshape(x, (1, 3, 4))
-        return project(T.attention(args["q"], args["k"], args["v"], num_heads=2), c)
+        return project(T.attention(args["q"], args["k"], args["v"], num_heads), c)
     return case
 
 
@@ -224,6 +224,8 @@ class TestFiniteDifferenceOracle:
         "attention_q": _attention_case("q"),
         "attention_k": _attention_case("k"),
         "attention_v": _attention_case("v"),
+        **{f"attention_{wrt}_head_dim_{4 // heads}": _attention_case(wrt, heads)
+           for wrt in "qkv" for heads in (4, 1)},
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -325,3 +325,61 @@ class TestMicroBatches:
         result = TR.train(params, config, train, train[:3],
                           TR.TrainConfig(epochs=1, batch_size=67, seed=1))
         assert result.history[0]["train_loss"] == pytest.approx(expected, rel=1e-6)
+
+
+class TestInputPath:
+    """Tokens are written volume by volume into one buffer; no stacked copy
+    of the voxels is made."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tokens_equal_the_stacked_path(self, dtype):
+        config = M.ModelConfig()
+        rng = np.random.default_rng(8)
+        volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
+                   for i in range(5)]
+        buf = TR._token_buffer(7, config)
+        got = TR._tokenize_into(volumes, config, buf)
+        stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
+        np.testing.assert_array_equal(got, M.tokenize(stacked, config))
+        assert got.dtype == np.float32 and np.shares_memory(got, buf)
+
+    def test_predict_probs_holds_no_copy_of_the_set(self):
+        """96 reference volumes are 48 MB; a pass must peak below half that
+        (stacking the set, then tokenizing it, peaked at 66 MB)."""
+        import tracemalloc
+
+        config = M.ModelConfig()
+        params = M.ModelParams.initialize(config, seed=0)
+        rng = np.random.default_rng(9)
+        volumes = [Volume(f"v{i}", 0, rng.random(config.input_shape, dtype=np.float32))
+                   for i in range(96)]
+        set_bytes = sum(v.voxels.nbytes for v in volumes)
+        assert set_bytes == 48 * 2**20
+        tracemalloc.start()
+        try:
+            TR.predict_probs(params, config, volumes, 128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < set_bytes / 2, peak / 2**20
+
+    def test_mixed_shapes_name_the_volume(self, tmp_path):
+        cfg, train, val = synthetic_sets(tmp_path)
+        odd = Volume("odd_one", 0, np.zeros((4, 8, 7, 1), np.float32))
+        params = M.ModelParams.initialize(cfg, seed=0)
+        for call in (lambda: TR.evaluate(params, cfg, train + [odd]),
+                     lambda: TR.predict_probs(params, cfg, [odd] + train)):
+            with pytest.raises(DimensionError, match="'odd_one'"):
+                call()
+
+    def test_train_checks_validation_shapes_before_epoch_1(self, tmp_path):
+        cfg, train, val = synthetic_sets(tmp_path)
+        odd = Volume("odd_one", 0, np.zeros((4, 8, 7, 1), np.float32))
+        params = M.ModelParams.initialize(cfg, seed=0)
+        before = [t.data.copy() for t in params.tensors()]
+        with pytest.raises(DimensionError, match="'odd_one'"):
+            TR.train(params, cfg, train, val + [odd], TR.TrainConfig(epochs=1),
+                     history_path=tmp_path / "history.jsonl")
+        assert not (tmp_path / "history.jsonl").exists()
+        for old, t in zip(before, params.tensors()):
+            np.testing.assert_array_equal(t.data, old)
