@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -134,9 +135,11 @@ def read_raw_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"{path}: array name at byte {start} is not UTF-8: {exc}") from exc
+        if name in arrays:
+            raise FormatError(f"{path}: duplicate array '{name}' at byte {start}")
         rank = r.u8(f"rank of '{name}'")
         shape = tuple(r.u32(f"extent of '{name}'") for _ in range(rank))
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # Python ints: no int64 wrap to 0
         raw = r.take(4 * n, f"data of '{name}'")
         arr = np.frombuffer(raw, dtype="<f4", count=n).reshape(shape)
         arrays[name] = arr.astype(np.float32, copy=True)

@@ -89,7 +89,7 @@ def read_volume(path, label: int = 0, subject_id: Optional[str] = None,
     extents = struct.unpack("<4I", buf[8:24])
     if any(e == 0 for e in extents):
         raise FormatError(f"{path}: zero extent in header at byte 8: {extents}")
-    expected = 4 * int(np.prod(extents))
+    expected = 4 * math.prod(extents)  # Python ints: no int64 wrap to 0
     payload = buf[24:]
     if len(payload) != expected:
         raise FormatError(

@@ -234,37 +234,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     Rejects non-finite input; rows of the output are probability
     vectors (nonnegative, summing to 1 up to rounding).
     """
-    out = _softmax_inplace(np.array(a.data), axis)
-    return _record(out, (a,), lambda g: (out * (g - _row_sum(g * out, axis)),))
+    out = np.moveaxis(_softmax_over_slabs(np.moveaxis(a.data, axis, 0).copy()), 0, axis)
+    return _record(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
 
 
-def _softmax_inplace(x: np.ndarray, axis: int) -> np.ndarray:
-    """Overwrite x with its softmax along axis and return it."""
+def _softmax_over_slabs(x: np.ndarray) -> np.ndarray:
+    """Overwrite a C-contiguous x with its softmax along axis 0 and return it.
+
+    Each x[i] is one contiguous slab, so every pass runs over long vectors
+    however short the softmax rows are. numpy reduces an outer axis slab by
+    slab, in order: the sum is a sequential running sum.
+    """
     if not np.isfinite(x).all():
         raise NumericError("softmax input contains NaN or Inf")
-    x -= _row_max(x, axis)
+    x -= x.max(axis=0)
     np.exp(x, out=x)
-    x /= _row_sum(x, axis)
+    x /= x.sum(axis=0)
     return x
-
-
-# Attention rows are 16 wide, and numpy's max and sum reductions cost
-# several times the arithmetic on rows that short; a running maximum over
-# the row's positions and an einsum do the same work in a few passes.
-
-
-def _row_max(x: np.ndarray, axis: int) -> np.ndarray:
-    """x.max(axis, keepdims=True), bit-identical: max ignores order."""
-    rows = np.moveaxis(x, axis, 0)
-    m = np.array(rows[0])
-    for row in rows[1:]:
-        np.maximum(m, row, out=m)
-    return np.expand_dims(m, axis)
-
-
-def _row_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """x.sum(axis, keepdims=True), summed in einsum's order."""
-    return np.expand_dims(np.einsum("...i->...", np.moveaxis(x, axis, -1)), axis)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -274,7 +260,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     Per head of head_dim = d / num_heads features, softmax(q k^T /
     sqrt(head_dim)) rows weight the values; the heads are concatenated
     back to [B, N, d]. A list sink receives the weights [B, num_heads,
-    N, N]. One tape node, which keeps the weights but not the scores.
+    N, N] as a strided view. One tape node, which keeps the weights but
+    not the scores.
     """
     _check_dtypes(q, k, v)
     if q.data.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % num_heads:
@@ -286,9 +273,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     def split(x):  # [B, N, d] -> [B, heads, N, head_dim] view
         return x.reshape(b, n, num_heads, head_dim).transpose(0, 2, 1, 3)
 
-    def transposed(x):  # [B, N, d] -> contiguous [B, heads, head_dim, N]
-        return np.ascontiguousarray(np.swapaxes(split(x), -1, -2))
-
     def heads_product(a, c):
         """a @ c per head, written through the head views of one [B, N, d]
         array, so the heads need no merge copy."""
@@ -296,30 +280,50 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         np.matmul(a, c, out=split(out))
         return out
 
+    def key_major(keys, queries):
+        """keys @ queries^T per head into a [N_k, B, heads, N_q] array: one
+        contiguous slab of B * heads * N_q entries per key. The right
+        operand goes contiguous: on 32 reference volumes (one BLAS thread)
+        the product took 254 us on the strided view and 101 us on a copy."""
+        buf = np.empty((n, b, num_heads, n), q.dtype)
+        np.matmul(keys, np.ascontiguousarray(np.swapaxes(queries, -1, -2)), out=by_key(buf))
+        return buf
+
+    def by_key(x):  # [N_k, B, heads, N_q] -> [B, heads, N_k, N_q] view
+        return x.transpose(1, 2, 0, 3)
+
+    def by_query(x):  # [N_k, B, heads, N_q] -> [B, heads, N_q, N_k] view
+        return x.transpose(1, 2, 3, 0)
+
     # the factor goes on q, not on the scores: with 16 tokens and head_dim
-    # 2 the queries are 8 times smaller. A product over head_dim features
-    # takes its right operand contiguous: on 32 reference volumes (one BLAS
-    # thread) q @ k^T took 182 us on the strided view of k and 57 us on a
-    # contiguous k^T.
+    # 2 the queries are 8 times smaller. The softmax over keys runs over
+    # the key-major slabs; alpha @ v then reads each head's weights
+    # column-major, which BLAS takes transposed (70 us against 118 us for
+    # row-major weights on 32 reference volumes).
     factor = 1.0 / math.sqrt(head_dim)
     q_s, k_h, v_h = split(q.data) * factor, split(k.data), split(v.data)
-    alpha = _softmax_inplace(np.matmul(q_s, transposed(k.data)), -1)
+    weights = _softmax_over_slabs(key_major(k_h, q_s))
     if sink is not None:
-        sink.append(alpha)
-    out = heads_product(alpha, v_h)
+        sink.append(by_query(weights))
+    out = heads_product(by_query(weights), v_h)
 
     def vjp(g):
         g_h = split(g)
         # rowsum(dalpha * alpha) is rowsum over head_dim of g * out, since
-        # out = alpha v (Dao et al., 2022): no pass over the N x N weights
-        row = _row_sum((g * out).reshape(b, n, num_heads, head_dim), -1)
-        ds = np.matmul(g_h, transposed(v.data))
-        ds -= row.transpose(0, 2, 1, 3)
-        ds *= alpha
-        dq = heads_product(ds, k_h)
+        # out = alpha v (Dao et al., 2022): no pass over the N x N weights.
+        # A GEMV takes the short sums; the row goes contiguous [B, heads,
+        # N_q] before it is broadcast over the key slabs.
+        rows = (g * out).reshape(-1, head_dim) @ np.ones(head_dim, g.dtype)
+        row = np.ascontiguousarray(rows.reshape(b, n, num_heads).transpose(0, 2, 1))
+        ds = key_major(v_h, g_h)
+        ds -= row
+        ds *= weights
+        dq = heads_product(by_query(ds), k_h)
         dq *= factor
-        dk = heads_product(np.swapaxes(ds, -1, -2), q_s)
-        dv = heads_product(np.swapaxes(alpha, -1, -2), g_h)
+        # ds^T and alpha^T go in row-major, blocks 32 KB apart: of the
+        # product forms timed, this one was the fastest
+        dk = heads_product(by_key(ds), q_s)
+        dv = heads_product(by_key(weights), g_h)
         return dq, dk, dv
 
     return _record(out, (q, k, v), vjp)
@@ -335,22 +339,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise DimensionError(
             f"layer_norm gamma/beta must have shape ({d},), got {gamma.shape} and {beta.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
+    # rows are d = 32 wide on the reference config, too short for numpy's
+    # reductions: the row means are GEMVs against a column of 1/d (exact
+    # for a power of two), and the parameter gradients GEMVs against ones
+    rows = x.data.reshape(-1, d)
+    mean_weights = np.full((d, 1), 1.0 / d, x.dtype)
+    xhat = rows - rows @ mean_weights
+    inv = np.square(xhat) @ mean_weights
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    out = (xhat * gamma.data).reshape(x.shape)
+    out += beta.data
 
     def vjp(g):
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dbeta = g.sum(axis=reduce_axes)
-        return dx, dgamma, dbeta
+        g_rows = g.reshape(-1, d)
+        dx = g_rows * gamma.data
+        m2 = xhat * ((dx * xhat) @ mean_weights)
+        dx -= dx @ mean_weights
+        dx -= m2
+        dx *= inv
+        ones = np.ones(len(g_rows), g.dtype)
+        dgamma = ones @ (g_rows * xhat)
+        dbeta = ones @ g_rows
+        return dx.reshape(x.shape), dgamma, dbeta
 
     return _record(out, (x, gamma, beta), vjp)
 

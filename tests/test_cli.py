@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -224,6 +225,30 @@ class TestTrainEvalPredict:
         for command in (["inspect", "--checkpoint", str(ckpt)], ["eval"], ["predict"]):
             assert main([*command, "--config", str(cfg), "--quiet"]) == 2, command
             assert "not UTF-8" in capsys.readouterr().err
+
+    def test_extents_overflowing_int64_exit_2(self, synth_env, capsys):
+        """Header extents whose int64 product wraps (to 0 for the VVOL, below
+        0 for the VVCK array) end in a FormatError, not a reshape traceback."""
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        tmp_path, cfg = synth_env
+        ckpt = tmp_path / "ckpt" / "model.vvck"
+        ckpt.parent.mkdir()
+        save_checkpoint(ckpt, ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        wrap = tmp_path / "wrap.vvol"
+        wrap.write_bytes(b"VVOL" + struct.pack("<HBB4I", 1, 0, 4, *[65536] * 4))
+        assert main(["predict", "--config", str(cfg), "--quiet", str(wrap)]) == 2
+        assert "expected 73786976294838206464" in capsys.readouterr().err
+
+        blob = ckpt.read_bytes()
+        header = 10 + struct.unpack_from("<I", blob, 6)[0]
+        huge = tmp_path / "huge.vvck"
+        huge.write_bytes(blob[:header] + struct.pack("<IH", 1, 12) + b"embed.weight"
+                         + struct.pack("<B2I", 2, 0xFFFFFFFF, 0xFFFFFFFF))
+        assert main(["inspect", "--checkpoint", str(huge), "--config", str(cfg),
+                     "--quiet"]) == 2
+        assert "truncated reading data of 'embed.weight'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("pooling", "cls_token"), ("dropout", 0.1)])
     def test_embedded_removed_key_exits_2(self, synth_env, capsys, key, value):

@@ -1,6 +1,7 @@
 """Tests for tokenization, the attention encoder, the head, and checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from volformer import tensor as T
 from volformer.checkpoint import (load_checkpoint, read_raw_checkpoint,
                                   save_checkpoint)
 from volformer.errors import (CheckpointMismatchError, ConfigError,
-                              DimensionError, FormatError, UsageError)
+                              DimensionError, FormatError, NumericError,
+                              UsageError)
 
 REFERENCE_CONFIG = M.ModelConfig()  # reference setup is the default
 
@@ -225,20 +227,62 @@ class TestAttentionOp:
 
     @pytest.mark.parametrize("batch, num_heads", [(1, 16), (3, 16), (32, 16), (5, 4), (4, 32)])
     def test_forward_bit_identical_to_strided_formula(self, batch, num_heads):
-        """The heads as strided views, k^T as a view, a fresh array per
-        softmax step and a merge copy: the op must give the same bits."""
+        """The heads as strided views, q^T as a view, the scores key
+        outermost with a running max and sum over the keys in order, a
+        fresh array per softmax step and a merge copy: the op must give
+        the same bits."""
         rng = np.random.default_rng(batch * 100 + num_heads)
         q, k, v = (rng.standard_normal((batch, 16, 32)).astype(np.float32) for _ in "qkv")
         head_dim = 32 // num_heads
-        scores = np.matmul(split_heads(q, num_heads) * (1.0 / math.sqrt(head_dim)),
-                           np.swapaxes(split_heads(k, num_heads), -1, -2))
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        alpha = e / np.einsum("...i->...", e)[..., None]
+        q_s = split_heads(q, num_heads) * (1.0 / math.sqrt(head_dim))
+        scores = np.moveaxis(np.matmul(split_heads(k, num_heads), np.swapaxes(q_s, -1, -2)),
+                             2, 0)  # [N_k, B, heads, N_q]
+        m = scores[0]
+        for slab in scores[1:]:
+            m = np.maximum(m, slab)
+        e = np.exp(scores - m)
+        total = e[0]
+        for slab in e[1:]:
+            total = total + slab
+        alpha = np.moveaxis(e / total, 0, -1)  # [B, heads, N_q, N_k]
         expected = merge_heads(np.matmul(alpha, split_heads(v, num_heads)))
         sink = []
         out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), num_heads, sink)
         np.testing.assert_array_equal(sink[0], alpha)
         np.testing.assert_array_equal(out.data, expected)
+
+    @pytest.mark.parametrize("operand", ["q", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_nonfinite_scores_rejected(self, operand, bad):
+        rng = np.random.default_rng(11)
+        inputs = {name: rng.standard_normal((2, 16, 32)).astype(np.float32) for name in "qkv"}
+        inputs[operand][1, 3, 5] = bad
+        sink = []
+        with pytest.raises(NumericError, match="NaN or Inf"):
+            T.attention(*(T.Tensor(inputs[name]) for name in "qkv"), 16, sink)
+        assert sink == []
+
+    def test_batch_equals_one_volume_calls(self):
+        """Each volume's output and weights do not depend on the rest of
+        the batch, bit for bit: the chunked forward relies on it."""
+        rng = np.random.default_rng(12)
+        q, k, v = (rng.standard_normal((5, 16, 32)).astype(np.float32) for _ in "qkv")
+        sink = []
+        out = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 16, sink).data
+        for i in range(5):
+            one_sink = []
+            one = T.attention(T.Tensor(q[i:i + 1]), T.Tensor(k[i:i + 1]),
+                              T.Tensor(v[i:i + 1]), 16, one_sink).data
+            np.testing.assert_array_equal(out[i:i + 1], one)
+            np.testing.assert_array_equal(sink[0][i:i + 1], one_sink[0])
+
+    def test_sink_holds_query_rows(self):
+        rng = np.random.default_rng(13)
+        q, k, v = (rng.standard_normal((3, 16, 32)).astype(np.float32) for _ in "qkv")
+        sink = []
+        T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 16, sink)
+        assert sink[0].shape == (3, 16, 16, 16)
+        np.testing.assert_allclose(sink[0].sum(axis=-1), 1.0, atol=1e-6)
 
     @pytest.mark.parametrize("head_dim", [1, 2, 4, 8])
     def test_vjp_matches_softmax_jacobian(self, head_dim):
@@ -516,6 +560,27 @@ class TestCheckpointFormat:
         path.write_bytes(blob[: len(blob) - 10])
         with pytest.raises(FormatError, match="byte"):
             read_raw_checkpoint(path)
+
+    def test_duplicate_array_name_rejected(self, tiny, tmp_path):
+        """A repeated record, with the count raised to match, must not load
+        with the later copy silently winning."""
+        params = M.ModelParams.zeros(tiny)
+        named = params.named_parameters()
+
+        class Doubled:
+            config = params.config
+
+            def named_parameters(self):
+                return named + [(name, t) for name, t in named if name == "embed.bias"]
+
+        path = tmp_path / "dup.vvck"
+        save_checkpoint(path, Doubled())
+        record = struct.pack("<H", len("embed.bias")) + b"embed.bias"
+        offset = path.read_bytes().rindex(record) + 2
+        with pytest.raises(FormatError, match=f"duplicate array 'embed.bias' at byte {offset}"):
+            read_raw_checkpoint(path)
+        with pytest.raises(FormatError, match="duplicate"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("field, bad, kind", [
         pytest.param("num_layers", 2.0, "an integer", id="num_layers-2.0"),
