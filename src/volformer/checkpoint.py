@@ -10,8 +10,8 @@ Layout (all integers little-endian):
     arrays, in the canonical parameter order, each:
         name length  u16
         name         UTF-8 bytes
-        rank         u8
-        extents      rank x u32
+        rank         u8, at most MAX_RANK
+        extents      rank x u32, none zero
         data         row-major float32
 
 Canonical field order plus canonical JSON make write -> read -> write
@@ -34,6 +34,7 @@ from .model import ModelConfig, ModelParams
 
 MAGIC = b"VVCK"
 VERSION = 1
+MAX_RANK = 32  # the most axes numpy 1.x can hold (numpy 2.x: 64)
 
 # Keys that earlier writers stored with the one value they could hold.
 # A file carrying one of them at exactly that value still loads; any
@@ -123,7 +124,7 @@ def read_raw_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
                 if key in fields and type(fields[key]) is type(old) and fields[key] == old:
                     del fields[key]
         config = ModelConfig(**fields)
-    except (ValueError, TypeError, ConfigError) as exc:
+    except (ValueError, TypeError, RecursionError, ConfigError) as exc:
         raise FormatError(f"{path}: invalid embedded config: {exc}") from exc
     count = r.u32("array count")
     arrays: dict[str, np.ndarray] = {}
@@ -137,9 +138,13 @@ def read_raw_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
                 f"{path}: array name at byte {start} is not UTF-8: {exc}") from exc
         if name in arrays:
             raise FormatError(f"{path}: duplicate array '{name}' at byte {start}")
+        rank_at = r.offset
         rank = r.u8(f"rank of '{name}'")
         shape = tuple(r.u32(f"extent of '{name}'") for _ in range(rank))
         n = math.prod(shape)  # Python ints: no int64 wrap to 0
+        if n == 0 or rank > MAX_RANK:
+            raise FormatError(f"{path}: array '{name}' at byte {rank_at} has a zero extent "
+                              f"or over {MAX_RANK} axes: shape {shape}")
         raw = r.take(4 * n, f"data of '{name}'")
         arr = np.frombuffer(raw, dtype="<f4", count=n).reshape(shape)
         arrays[name] = arr.astype(np.float32, copy=True)

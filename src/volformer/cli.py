@@ -128,9 +128,9 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
     doc = {}
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            try:
+            try:  # UnicodeDecodeError is a ValueError, as are JSON errors
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: top level must be a JSON object")
@@ -186,10 +186,13 @@ def _progress(args, message: str) -> None:
 
 
 def _refuse_existing(paths, force: bool, made_dir=None) -> None:
-    """Refuse, before any work, an output whose directory is missing (other
-    than made_dir, which the command creates) or which exists (unless force)."""
+    """Refuse, before any work, an output path that is empty or a directory,
+    whose directory is missing (other than made_dir, which the command
+    creates) or which exists (unless force)."""
     made = os.path.normpath(made_dir) if made_dir else None
     for p in paths:
+        if not p or os.path.isdir(p):
+            raise IsADirectoryError(f"output path '{p}' names no file")
         parent = os.path.normpath(os.path.dirname(p) or ".")
         if parent != made and not os.path.isdir(parent):
             raise FileNotFoundError(f"directory '{parent}' of output '{p}' does not exist")

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -222,18 +222,18 @@ class DatasetManifest:
     def load(cls, path, class_names: Sequence[str] = DEFAULT_CLASS_NAMES
              ) -> "DatasetManifest":
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
+                try:  # UnicodeDecodeError is a ValueError, as are JSON errors
+                    line = line.decode("utf-8").strip()
+                    if not line:
+                        continue
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 if not isinstance(record, dict):
                     raise FormatError(f"{path}:{lineno}: record must be an object")
-                unknown = set(record) - {"path", "label", "subject_id", "split"}
+                unknown = set(record) - {f.name for f in fields(ManifestEntry)}
                 if unknown:
                     raise FormatError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
                 for key, value in record.items():

@@ -116,16 +116,6 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
                 f"match configured input {config.input_shape}")
 
 
-def _tokenize_into(volumes: Sequence[Volume], config: M.ModelConfig,
-                   out: np.ndarray) -> np.ndarray:
-    """Tokens [len(volumes), N, token_width] in the leading rows of the
-    float32 buffer out, written volume by volume: no stacked copy of the
-    voxels is made. Shapes must have passed _check_shapes."""
-    for i, volume in enumerate(volumes):
-        M.tokenize(volume.voxels[None], config, out=out[i : i + 1])
-    return out[: len(volumes)]
-
-
 def _token_buffer(rows: int, config: M.ModelConfig) -> np.ndarray:
     return np.empty((rows, M.token_grid(config).total, config.token_width), np.float32)
 
@@ -151,13 +141,32 @@ def _chunks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _batch_logits(volumes: Sequence[Volume], params: M.ModelParams,
-                  config: M.ModelConfig, buf: np.ndarray) -> T.Tensor:
-    """Logits of one batch, forwarded chunk by chunk through the token
-    buffer buf; bit-identical to one forward_logits pass over the batch."""
-    return T.Tensor(np.concatenate(
-        [M.logits_from_tokens(_tokenize_into(volumes[s], config, buf), params, config).data
-         for s in _chunks(len(volumes))]))
+def _chunk_tokens(volumes: Sequence[Volume], config: M.ModelConfig, buf: np.ndarray):
+    """(chunk, tokens) for each chunk of volumes: tokens [len(chunk), N,
+    token_width] in the leading rows of the buffer buf, which the next
+    chunk overwrites. They are written volume by volume, so no stacked copy
+    of the voxels is made. Shapes must have passed _check_shapes."""
+    for s in _chunks(len(volumes)):
+        chunk = volumes[s]
+        for i, volume in enumerate(chunk):
+            M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
+        yield chunk, buf[: len(chunk)]
+
+
+def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,
+             batch_size: int, what: str):
+    """(batch, logits) for each batch of batch_size volumes, each forwarded
+    chunk by chunk through one token buffer; the logits are bit-identical
+    to one forward_logits pass over the batch."""
+    if not volumes:
+        raise DataError(f"cannot {what} an empty set")
+    _check_shapes(volumes, config)
+    buf = _token_buffer(min(len(volumes), _CHUNK), config)
+    for start in range(0, len(volumes), batch_size):
+        batch = volumes[start : start + batch_size]
+        yield batch, T.Tensor(np.concatenate(
+            [M.logits_from_tokens(x, params, config).data
+             for _, x in _chunk_tokens(batch, config, buf)]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],
@@ -167,59 +176,43 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
     The loss is averaged per batch of batch_size and then over the set, so
     batch_size sets the low bits of the result.
     """
-    if not volumes:
-        raise DataError("cannot evaluate an empty set")
-    _check_shapes(volumes, config)
-    labels = np.array([v.label for v in volumes], dtype=np.int64)
-    buf = _token_buffer(min(len(volumes), _CHUNK), config)
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(volumes), batch_size):
-        lb = labels[start : start + batch_size]
-        logits = _batch_logits(volumes[start : start + batch_size], params, config, buf)
-        loss = T.softmax_cross_entropy(logits, lb)
-        total_loss += float(loss.data) * len(lb)
-        correct += int((M.predict_classes(logits.data) == lb).sum())
+    for batch, logits in _batches(volumes, params, config, batch_size, "evaluate"):
+        labels = np.array([v.label for v in batch], dtype=np.int64)
+        total_loss += float(T.softmax_cross_entropy(logits, labels).data) * len(batch)
+        correct += int((M.predict_classes(logits.data) == labels).sum())
     return total_loss / len(volumes), correct / len(volumes)
 
 
 def predict_probs(params: M.ModelParams, config: M.ModelConfig,
                   volumes: Sequence[Volume], batch_size: int = 128) -> np.ndarray:
     """Class probabilities [n, classes] for a volume list."""
-    if not volumes:
-        raise DataError("cannot predict an empty set")
-    _check_shapes(volumes, config)
-    buf = _token_buffer(min(len(volumes), _CHUNK), config)
     return np.concatenate([
-        T.softmax(_batch_logits(volumes[start : start + batch_size], params, config,
-                                buf)).data
-        for start in range(0, len(volumes), batch_size)])
+        T.softmax(logits).data
+        for _, logits in _batches(volumes, params, config, batch_size, "predict")])
 
 
-def _batch_gradient(params: M.ModelParams, config: M.ModelConfig, tokens: np.ndarray,
-                    labels: np.ndarray, idx: np.ndarray, buf: np.ndarray,
+def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
+                    volumes: Sequence[Volume], buf: np.ndarray,
                     leaves: Sequence[T.Tensor]) -> float:
     """Set every leaf's .grad to the gradient of the mean cross-entropy over
-    the rows idx of tokens, and return the summed loss of those rows.
+    the batch volumes, and return the summed loss of the batch.
 
-    Each chunk of the batch runs on its own tape, with its token rows
-    gathered into buf (which the embed VJP reads, so the next gather waits
-    for the chunk's backward); the chunk gradients are summed, each weighted
-    by its share of the batch.
+    Each chunk of the batch runs on its own tape, with its tokens written
+    into buf (which the embed VJP reads, so the next chunk's tokens wait
+    for the chunk's backward); the chunk gradients are summed, each
+    weighted by its share of the batch.
     """
     loss_sum = 0.0
     total = None
-    for s in _chunks(len(idx)):
-        rows = idx[s]
-        # rows index tokens by construction; mode="raise" would copy through
-        # a temporary buffer
-        x = np.take(tokens, rows, axis=0, out=buf[: len(rows)], mode="clip")
+    for chunk, x in _chunk_tokens(volumes, config, buf):
         with T.Tape() as tape:
             logits = M.logits_from_tokens(x, params, config)
-            loss = T.softmax_cross_entropy(logits, labels[rows])
+            loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
         tape.backward(loss, leaves=leaves)
-        loss_sum += float(loss.data) * len(rows)
-        w = len(rows) / len(idx)  # 1.0 for a one-chunk batch, which keeps its bits
+        loss_sum += float(loss.data) * len(chunk)
+        w = len(chunk) / len(volumes)  # 1.0 for a one-chunk batch, which keeps its bits
         if total is None:
             total = [leaf.grad * w for leaf in leaves]
         else:
@@ -249,10 +242,12 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     derived from cfg.seed (derive_seed(seed, 1)), walks it in batches of
     cfg.batch_size (last partial batch kept), one Adam step per batch,
     and evaluates the validation set. A batch's forward and backward run
-    in chunks of at most _CHUNK volumes, so peak memory stops growing
-    with cfg.batch_size past _CHUNK. A checkpoint is written only when
-    the monitored metric strictly improves. Identical seeds give
-    bit-identical histories and checkpoint bytes.
+    in chunks of at most _CHUNK volumes, each tokenized from its volumes
+    into one buffer as inference does, so peak memory stops growing with
+    cfg.batch_size past _CHUNK and holds no copy of the training set. A
+    checkpoint is written only when the monitored metric strictly
+    improves. Identical seeds give bit-identical histories and checkpoint
+    bytes.
 
     The history file at history_path is JSONL, one {"epoch",
     "train_loss", "val_loss", "val_acc", "checkpointed"} record per
@@ -264,28 +259,23 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     _check_shapes(train_set, config)
     _check_shapes(val_set, config)
     n = len(train_set)
-    labels = np.array([v.label for v in train_set], dtype=np.int64)
-    # tokenizing is a pure rearrangement, so the set is tokenized once and
-    # each chunk gathers its token rows into buf
-    tokens = _tokenize_into(train_set, config, _token_buffer(n, config))
-    buf = np.empty((min(n, cfg.batch_size, _CHUNK),) + tokens.shape[1:], tokens.dtype)
+    buf = _token_buffer(min(n, cfg.batch_size, _CHUNK), config)
     leaves = params.tensors()
     state = AdamState(params)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
     minimize = cfg.monitor == "val_loss"
     best = float("inf") if minimize else float("-inf")
     result = TrainResult()
-    order = list(range(n))
+    shuffled = list(train_set)  # reshuffled in place each epoch
     sink = (open(history_path, "w", encoding="utf-8") if history_path is not None
             else nullcontext())
     with sink as history:
         for epoch in range(1, cfg.epochs + 1):
-            shuffle_rng.shuffle(order)
+            shuffle_rng.shuffle(shuffled)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
-                idx = np.array(order[start : start + cfg.batch_size])
-                epoch_loss += _batch_gradient(params, config, tokens, labels, idx, buf,
-                                              leaves)
+                epoch_loss += _batch_gradient(
+                    params, config, shuffled[start : start + cfg.batch_size], buf, leaves)
                 adam_step(params, state, cfg)
             val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
             metric = val_loss if minimize else val_acc

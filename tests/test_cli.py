@@ -281,6 +281,44 @@ class TestTrainEvalPredict:
                      "--out", str(tmp_path / "pred.jsonl")]) == 2
         assert capsys.readouterr().err.count("pass --force") == 2
 
+    def test_non_utf8_manifest_exits_2(self, synth_env, capsys):
+        tmp_path, cfg = synth_env
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"path": "a\xff.vvol", "label": 0}\n')
+        for command in (["preprocess"], ["train"], ["cv"]):
+            assert main([*command, "--config", str(cfg), "--quiet",
+                         "--set", f"paths.manifest={bad}"]) == 2, command
+            assert f"{bad}:1: invalid JSON" in capsys.readouterr().err
+
+    def test_outputs_naming_no_file_refused_before_any_work(self, synth_env, capsys,
+                                                           monkeypatch):
+        """An empty output path, or one that is a directory, is refused
+        with exit 2 before any work, with --force too."""
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+        import volformer.training as TR
+
+        tmp_path, cfg = synth_env
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output path check")
+
+        monkeypatch.setattr(TR, "predict_probs", fail)
+        monkeypatch.setattr(TR, "train", fail)
+        before = sorted(os.listdir(tmp_path))
+        for path in ("", str(tmp_path)):
+            for command in (["eval"], ["cv", "--set", "split.folds=3"]):
+                assert main([*command, "--config", str(cfg), "--quiet", "--force",
+                             "--set", f"paths.report={path}"]) == 2, (command, path)
+            assert main(["train", "--config", str(cfg), "--quiet", "--force",
+                         "--set", f"paths.history={path}"]) == 2, path
+        assert capsys.readouterr().err.count("names no file") == 6
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "ckpt") == ["model.vvck"]
+
     def test_predict_empty_manifest_exits_2(self, tmp_path, capsys):
         from volformer.checkpoint import save_checkpoint
         from volformer.model import ModelConfig, ModelParams
@@ -492,6 +530,17 @@ class TestConfigHandling:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["inspect", "--config", str(cfg), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(b'{"paths": {"manifest": "a\xff.jsonl"}}', id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"train": {"epochs": 1' + b"0" * 5000 + b"}}", id="5000-digits"),
+    ])
+    def test_undecodable_config_exits_1(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        assert main(["inspect", "--config", str(cfg), "--quiet"]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_thread_cap_env(self, monkeypatch):
         from volformer.cli import _apply_thread_cap

@@ -370,6 +370,32 @@ class TestManifestFile:
         with pytest.raises(FormatError, match="m.jsonl:1"):
             D.DatasetManifest.load(path)
 
+    @pytest.mark.parametrize("line", [
+        pytest.param(b'{"path": "a\xff.vvol", "label": 0}', id="not-utf8"),
+        pytest.param(b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"path": "b.vvol", "label": 1' + b"0" * 5000 + b"}",
+                     id="5000-digit-label"),
+    ])
+    def test_rejects_undecodable_lines(self, tmp_path, line):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"path": "a.vvol", "label": 0}\n' + line + b"\n")
+        with pytest.raises(FormatError, match="m.jsonl:2: invalid JSON"):
+            D.DatasetManifest.load(path)
+
+    def test_keys_are_the_entry_fields(self, tmp_path, monkeypatch):
+        """A field added to ManifestEntry is a known manifest key."""
+        import dataclasses
+        from typing import Optional
+
+        @dataclasses.dataclass
+        class Entry(D.ManifestEntry):
+            site: Optional[str] = None
+
+        monkeypatch.setattr(D, "ManifestEntry", Entry)
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps({"path": "a.vvol", "label": 0, "site": "x"}) + "\n")
+        assert D.DatasetManifest.load(path).entries[0].site == "x"
+
     def test_rejects_duplicate_paths(self, tmp_path):
         path = tmp_path / "m.jsonl"
         record = json.dumps({"path": "a.vvol", "label": 0,

@@ -561,6 +561,35 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match="byte"):
             read_raw_checkpoint(path)
 
+    @pytest.mark.parametrize("shape, data", [
+        pytest.param((1,) * 70, 4, id="rank-70"),
+        pytest.param((0,) + (2**32 - 1,) * 3, 0, id="zero-extent"),
+        pytest.param((2, 0), 0, id="zero-extent-small"),
+    ])
+    def test_arrays_numpy_cannot_hold_rejected(self, tiny, tmp_path, shape, data):
+        """The record's rank byte sits at header + 18: after the array
+        count (4 bytes), the name length (2) and the name (12)."""
+        path = tmp_path / "f.vvck"
+        save_checkpoint(path, M.ModelParams.zeros(tiny))
+        blob = path.read_bytes()
+        header = 10 + struct.unpack_from("<I", blob, 6)[0]
+        path.write_bytes(blob[:header] + struct.pack("<IH", 1, 12) + b"embed.weight"
+                         + struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+                         + bytes(data))
+        with pytest.raises(FormatError, match=f"'embed.weight' at byte {header + 18} "
+                                              "has a zero extent or over 32 axes"):
+            read_raw_checkpoint(path)
+
+    def test_deeply_nested_embedded_config_rejected(self, tiny, tmp_path):
+        path = tmp_path / "deep.vvck"
+        save_checkpoint(path, M.ModelParams.zeros(tiny))
+        blob = path.read_bytes()
+        end = 10 + struct.unpack_from("<I", blob, 6)[0]
+        deep = b"[" * 100_000
+        path.write_bytes(blob[:6] + struct.pack("<I", len(deep)) + deep + blob[end:])
+        with pytest.raises(FormatError, match="invalid embedded config"):
+            read_raw_checkpoint(path)
+
     def test_duplicate_array_name_rejected(self, tiny, tmp_path):
         """A repeated record, with the count raised to match, must not load
         with the later copy silently winning."""

@@ -294,18 +294,20 @@ class TestMicroBatches:
         config = tiny_config()
         params = random_params(config, seed=6)  # float64
         rng = np.random.default_rng(7)
-        tokens = M.tokenize(rng.standard_normal((n,) + config.input_shape), config)
+        voxels = rng.standard_normal((n,) + config.input_shape)
         labels = rng.integers(0, config.num_classes, size=n)
         idx = rng.permutation(n)
+        tokens = M.tokenize(voxels[idx], config)  # float64
         leaves = params.tensors()
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
-                M.logits_from_tokens(tokens[idx], params, config), labels[idx])
+                M.logits_from_tokens(tokens, params, config), labels[idx])
         tape.backward(loss, leaves=leaves)
         whole = np.concatenate([leaf.grad.ravel() for leaf in leaves])
 
+        volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in idx]
         buf = np.empty((TR._CHUNK,) + tokens.shape[1:], tokens.dtype)
-        loss_sum = TR._batch_gradient(params, config, tokens, labels, idx, buf, leaves)
+        loss_sum = TR._batch_gradient(params, config, volumes, buf, leaves)
         chunked = np.concatenate([leaf.grad.ravel() for leaf in leaves])
         assert len(TR._chunks(n)) == 3
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
@@ -338,7 +340,7 @@ class TestInputPath:
         volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
                    for i in range(5)]
         buf = TR._token_buffer(7, config)
-        got = TR._tokenize_into(volumes, config, buf)
+        [(_, got)] = TR._chunk_tokens(volumes, config, buf)
         stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
         np.testing.assert_array_equal(got, M.tokenize(stacked, config))
         assert got.dtype == np.float32 and np.shares_memory(got, buf)
@@ -362,6 +364,32 @@ class TestInputPath:
         finally:
             tracemalloc.stop()
         assert peak < set_bytes / 2, peak / 2**20
+
+    def test_train_holds_no_token_copy_of_the_set(self):
+        """Tripling the training set must not raise train's peak by the
+        tokens of the extra volumes: a token copy of the set is as large as
+        the set, 32 MB more here (the chunk-gradient sums add about 2 MB)."""
+        import tracemalloc
+
+        config = M.ModelConfig()
+        rng = np.random.default_rng(10)
+        volumes = [Volume(f"v{i}", i % config.num_classes,
+                          rng.random(config.input_shape, dtype=np.float32))
+                   for i in range(96)]
+
+        def peak(train_set):
+            params = M.ModelParams.initialize(config, seed=0)
+            tracemalloc.start()
+            try:
+                TR.train(params, config, train_set, volumes[:4],
+                         TR.TrainConfig(epochs=1, batch_size=128))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        extra = sum(v.voxels.nbytes for v in volumes[32:])
+        growth = peak(volumes) - peak(volumes[:32])
+        assert growth < extra / 4, growth / 2**20
 
     def test_mixed_shapes_name_the_volume(self, tmp_path):
         cfg, train, val = synthetic_sets(tmp_path)
