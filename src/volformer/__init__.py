@@ -10,8 +10,8 @@ The package is organized as submodules; import what you need:
     volformer.checkpoint -- VVCK model checkpoint files
     volformer.cli       -- the `volformer` command
 
-This top-level module deliberately imports nothing heavy so the CLI can cap
-BLAS thread counts (VOLFORMER_THREADS) before numpy loads.
+This top-level module deliberately imports nothing heavy so the CLI can set
+BLAS thread counts before numpy loads.
 """
 
 __version__ = "0.1.0"

@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 invalid configuration or usage, 2 I/O or
 dataset-level failure (including overwrite refusals), 3 checkpoint/config
 mismatch.
 
-VOLFORMER_THREADS caps the BLAS thread pools; the cap is applied when
-this module is imported, before it imports numpy.
+Inference runs its chunks on a pool of worker threads, one per core or
+VOLFORMER_THREADS if that is fewer; results do not depend on the count.
+Importing this module defaults every BLAS pool to one thread per worker,
+before it imports numpy.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("VOLFORMER_THREADS")
-    if cap:
-        for var in _THREAD_ENV_VARS:
-            os.environ.setdefault(var, cap)
+def _one_blas_thread() -> None:
+    """Default each BLAS pool to one thread: every inference worker makes
+    its own BLAS calls, so more threads would only contend for the cores."""
+    for var in _THREAD_ENV_VARS:
+        os.environ.setdefault(var, "1")
 
 
-_apply_thread_cap()  # BLAS reads its thread count once, when numpy loads
+_one_blas_thread()  # BLAS reads its thread count once, when numpy loads
 from . import checkpoint, data, metrics, model, rng, training  # noqa: E402
 from .errors import (CheckpointMismatchError, ConfigError, DataError,  # noqa: E402
                      DimensionError, FormatError, NumericError, UsageError,
@@ -86,6 +88,9 @@ class PathsConfig:
 
     def __post_init__(self):
         require_field_types(self)
+        for f in dataclasses.fields(self):
+            if "\0" in getattr(self, f.name):
+                raise ConfigError(f"paths.{f.name} holds a NUL character")
 
 
 # config section -> its class; a RunConfig holds one instance of each
@@ -185,11 +190,15 @@ def _progress(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _refuse_existing(paths, force: bool, made_dir=None) -> None:
+def _refuse_existing(paths, force: bool, checkpoint_dir=None) -> None:
     """Refuse, before any work, an output path that is empty or a directory,
-    whose directory is missing (other than made_dir, which the command
-    creates) or which exists (unless force)."""
-    made = os.path.normpath(made_dir) if made_dir else None
+    whose directory is missing (other than checkpoint_dir, which the
+    command creates, and which must not be empty) or which exists (unless
+    force)."""
+    if checkpoint_dir == "":
+        raise NotADirectoryError("paths.checkpoint_dir is empty; it must name the "
+                                 "directory to write checkpoints into")
+    made = os.path.normpath(checkpoint_dir) if checkpoint_dir else None
     for p in paths:
         if not p or os.path.isdir(p):
             raise IsADirectoryError(f"output path '{p}' names no file")
@@ -330,11 +339,11 @@ def _train_fresh(run: RunConfig, manifest, train_entries, val_entries, stream_id
 
 
 def cmd_train(run: RunConfig, args) -> int:
-    manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
-    train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
     checkpoint_path = _default_checkpoint(run)
     _refuse_existing([checkpoint_path, run.paths.history], args.force,
-                     made_dir=run.paths.checkpoint_dir)
+                     checkpoint_dir=run.paths.checkpoint_dir)
+    manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
+    train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
     os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
     _progress(args, f"training on {len(train_entries)} volumes, validating on "
                     f"{len(val_entries)} ({model.count_params(run.model)} parameters)")
@@ -382,7 +391,6 @@ def cmd_eval(run: RunConfig, args) -> int:
 def cmd_cv(run: RunConfig, args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    manifest = _load_manifest(run)
     k = run.split.folds
     stem, ext = os.path.splitext(run.paths.report)
     rep_indices = [run.split.repetition + r for r in range(args.repeats)]
@@ -395,7 +403,8 @@ def cmd_cv(run: RunConfig, args) -> int:
         for rep in rep_indices for i in range(k)
     ]
     _refuse_existing([run.paths.report, *fold_report_paths, *fold_checkpoints], args.force,
-                     made_dir=run.paths.checkpoint_dir)
+                     checkpoint_dir=run.paths.checkpoint_dir)
+    manifest = _load_manifest(run)
     rep_folds = [data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep),
                                  by_subject=run.split.stratify_by == "subject")
                  for rep in rep_indices]
@@ -503,7 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumetric scan classification pipeline.",
         epilog=_config_help() + "\n\nexit codes: 0 ok, 1 invalid input, "
                "2 I/O or dataset failure, 3 checkpoint/config mismatch.\n"
-               "VOLFORMER_THREADS caps internal BLAS parallelism.",
+               "VOLFORMER_THREADS caps the inference worker threads (default: one "
+               "per core), each with one BLAS thread.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -550,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        training.worker_count()  # a bad VOLFORMER_THREADS fails before any work
         parser = build_parser()
         args = parser.parse_args(argv)
         run = load_run_config(args.config, args.set_exprs, args.seed)

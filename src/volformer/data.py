@@ -239,8 +239,10 @@ class DatasetManifest:
                 for key, value in record.items():
                     if key == "label":
                         ok = type(value) is int  # bool is an int subclass
+                    elif key == "path":  # open() refuses a NUL character
+                        ok = isinstance(value, str) and "\0" not in value
                     else:
-                        ok = isinstance(value, str) or (value is None and key != "path")
+                        ok = isinstance(value, str) or value is None
                     if not ok:
                         raise FormatError(f"{path}:{lineno}: bad {key} {value!r}")
                 try:

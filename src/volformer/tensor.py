@@ -14,6 +14,7 @@ precision downgrades cannot happen silently.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,25 +70,33 @@ class _Node:
         self.vjp = vjp
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    """The open tapes of the current thread, innermost last: an op records
+    only onto a tape its own thread opened."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
     """Ordered record of differentiable ops for one backward pass.
 
-    Use as a context manager; only the innermost active tape records.
-    A tape is confined to one logical thread of execution.
+    Use as a context manager; only the innermost active tape of the
+    calling thread records, so ops run on other threads never reach it.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
     def backward(self, loss: Tensor, leaves: Optional[Sequence[Tensor]] = None) -> None:
@@ -125,7 +134,8 @@ class Tape:
 
 
 def _active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:

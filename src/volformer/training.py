@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -58,24 +61,6 @@ class AdamState:
         self.step_count = 0
 
 
-def sparse_ce_loss(probs: np.ndarray, labels) -> float:
-    """Mean of -ln p[label] over the batch, straight from probabilities.
-
-    Evaluation-side definition; the trainer uses the fused logits form
-    (tensor.softmax_cross_entropy), which computes the same quantity
-    stably.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise UsageError(f"got probs {probs.shape} and labels {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
-        raise DataError(f"label out of range [0, {probs.shape[1]})")
-    picked = probs[np.arange(len(labels)), labels]
-    with np.errstate(divide="ignore"):
-        return float(np.mean(-np.log(picked)))
-
-
 def adam_step(params: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None:
     """One bias-corrected Adam update in place.
 
@@ -126,47 +111,115 @@ def _token_buffer(rows: int, config: M.ModelConfig) -> np.ndarray:
 # cache: there (OpenBLAS, one BLAS thread) a 128-volume reference forward took
 # 261-269 ms as one pass and 177-184 ms in chunks of 32.
 _CHUNK = 32
+# An inference worker tokenizes and embeds its chunk _SUB volumes at a time,
+# through a token buffer of its own: 4 MB at the reference config, where
+# _CHUNK-volume buffers for 2 workers raised eval's peak RSS from 158 to 175 MB.
+_SUB = 8
 
 
-def _chunks(n: int) -> list[slice]:
-    """Cut n rows into ceil(n / _CHUNK) nearly equal slices of at most _CHUNK.
+def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
+    """Cut n rows into ceil(n / size) nearly equal slices of at most size.
 
     Every boundary falls on a multiple of 4: OpenBLAS's GEMM results depend
     on a row's position mod 4, so each row keeps the bits of one pass over
-    all n. The last slice holds more than n / k - 4 rows for k >= 2 slices,
-    so none is a single row (which numpy sends to GEMV) unless n == 1.
+    all n. The last slice holds more than n / k - 4 rows for k >= 2
+    slices, so at size _CHUNK none is a single row (which numpy sends to
+    GEMV) unless n == 1.
     """
-    k = -(-n // _CHUNK)
+    k = -(-n // size)
     bounds = [4 * -(-i * n // (4 * k)) for i in range(k)] + [n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _chunk_tokens(volumes: Sequence[Volume], config: M.ModelConfig, buf: np.ndarray):
-    """(chunk, tokens) for each chunk of volumes: tokens [len(chunk), N,
-    token_width] in the leading rows of the buffer buf, which the next
-    chunk overwrites. They are written volume by volume, so no stacked copy
-    of the voxels is made. Shapes must have passed _check_shapes."""
-    for s in _chunks(len(volumes)):
+    """(chunk, tokens) for each chunk of volumes, cut by _chunks to at most
+    len(buf) volumes: tokens [len(chunk), N, token_width] in the leading
+    rows of the buffer buf, which the next chunk overwrites. They are
+    written volume by volume, so no stacked copy of the voxels is made.
+    Shapes must have passed _check_shapes."""
+    for s in _chunks(len(volumes), len(buf)):
         chunk = volumes[s]
         for i, volume in enumerate(chunk):
             M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
         yield chunk, buf[: len(chunk)]
 
 
+def worker_count() -> int:
+    """Threads of the inference worker pool: the cores this process may
+    run on, capped by the VOLFORMER_THREADS environment variable when it
+    is set. A value that is not an integer >= 1 is a ConfigError."""
+    cores = len(os.sched_getaffinity(0))
+    raw = os.environ.get("VOLFORMER_THREADS")
+    if raw is None:
+        return cores
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ConfigError(f"VOLFORMER_THREADS must be an integer >= 1, got {raw!r}")
+    return min(cap, cores)
+
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+_worker = threading.local()  # .buf: the calling worker's token buffer
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The inference worker pool, started on first use with worker_count()
+    threads. numpy releases the GIL inside BLAS and long ufunc loops, so
+    workers with one BLAS thread each keep that many cores busy."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(worker_count(), thread_name_prefix="volformer")
+        return _pool
+
+
+def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams,
+                  config: M.ModelConfig) -> np.ndarray:
+    """Logits [len(chunk), classes] of one chunk, run on a worker thread.
+
+    Tokenize and embed go _SUB volumes at a time through the worker's
+    token buffer; each sub-block's GEMM rows start on a multiple of 4, so
+    the embeddings equal one embed over the chunk bit for bit. The encoder
+    and head then run on the whole chunk.
+    """
+    shape = (_SUB, M.token_grid(config).total, config.token_width)
+    buf = getattr(_worker, "buf", None)
+    if buf is None or buf.shape != shape:
+        buf = _worker.buf = _token_buffer(_SUB, config)
+    z = T.Tensor(np.concatenate([M.embed(x, params, config).data
+                                 for _, x in _chunk_tokens(chunk, config, buf)]))
+    return M.classifier_logits(M.encode(z, params, config), params, config).data
+
+
 def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,
              batch_size: int, what: str):
-    """(batch, logits) for each batch of batch_size volumes, each forwarded
-    chunk by chunk through one token buffer; the logits are bit-identical
-    to one forward_logits pass over the batch."""
+    """(batch, logits) for each batch of batch_size volumes.
+
+    Every chunk of every batch goes to the worker pool up front, and each
+    batch's logits are gathered in chunk order, so they are bit-identical
+    to one forward_logits pass over the batch at any worker count. The
+    first error a chunk raises is raised here; the chunks not yet started
+    are then dropped.
+    """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     _check_shapes(volumes, config)
-    buf = _token_buffer(min(len(volumes), _CHUNK), config)
-    for start in range(0, len(volumes), batch_size):
-        batch = volumes[start : start + batch_size]
-        yield batch, T.Tensor(np.concatenate(
-            [M.logits_from_tokens(x, params, config).data
-             for _, x in _chunk_tokens(batch, config, buf)]))
+    pool = _workers()
+    batches = [volumes[start : start + batch_size]
+               for start in range(0, len(volumes), batch_size)]
+    pending = [[pool.submit(_chunk_logits, batch[s], params, config)
+                for s in _chunks(len(batch))] for batch in batches]
+    try:
+        for batch, futures in zip(batches, pending):
+            yield batch, T.Tensor(np.concatenate([f.result() for f in futures]))
+    finally:
+        for futures in pending:
+            for f in futures:
+                f.cancel()
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],

@@ -290,6 +290,75 @@ class TestTrainEvalPredict:
                          "--set", f"paths.manifest={bad}"]) == 2, command
             assert f"{bad}:1: invalid JSON" in capsys.readouterr().err
 
+    def test_nul_in_a_manifest_path_exits_2_before_any_work(self, synth_env, capsys,
+                                                           monkeypatch):
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+        import volformer.training as TR
+
+        tmp_path, cfg = synth_env
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        bad = tmp_path / "nul.jsonl"
+        bad.write_text('{"path": "c0_0000.vvol", "label": 0}\n'
+                       '{"path": "a\\u0000b.vvol", "label": 0}\n')
+        monkeypatch.setattr(TR, "predict_probs", None)  # calling it would raise TypeError
+        assert main(["predict", "--config", str(cfg), "--quiet",
+                     "--set", f"paths.manifest={bad}"]) == 2
+        assert f"{bad}:2: bad path" in capsys.readouterr().err
+
+    def test_empty_checkpoint_dir_exits_2_before_any_work(self, synth_env, capsys):
+        """train and cv refuse an empty paths.checkpoint_dir before they
+        read the manifest (here one that does not exist)."""
+        tmp_path, cfg = synth_env
+        for command in (["train"], ["cv"]):
+            assert main([*command, "--config", str(cfg), "--quiet",
+                         "--set", "paths.checkpoint_dir=",
+                         "--set", f"paths.manifest={tmp_path / 'missing.jsonl'}"]) == 2
+            assert "paths.checkpoint_dir is empty" in capsys.readouterr().err
+        assert not (tmp_path / "model.vvck").exists()
+
+    def test_predict_on_a_nan_volume_exits_1(self, synth_env, capsys):
+        from volformer import data
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        tmp_path, cfg = synth_env
+        (tmp_path / "ckpt").mkdir()
+        save_checkpoint(tmp_path / "ckpt" / "model.vvck",
+                        ModelParams.initialize(ModelConfig(**TINY_MODEL), seed=0))
+        volume = data.read_volume(sorted((tmp_path / "data").glob("*.vvol"))[0])
+        volume.voxels[1, 2, 3, 0] = np.nan
+        data.write_volume(volume, tmp_path / "nan.vvol")
+        paths = [str(p) for p in sorted((tmp_path / "data").glob("*.vvol"))[:9]]
+        assert main(["predict", "--config", str(cfg), "--quiet",
+                     *paths, str(tmp_path / "nan.vvol")]) == 1
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert main(["predict", "--config", str(cfg), "--quiet", *paths]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 9
+
+    def test_eval_report_bytes_do_not_depend_on_the_worker_count(self, synth_env,
+                                                                 capsys):
+        tmp_path, cfg = synth_env
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        env.pop("VOLFORMER_THREADS", None)
+        reports = []
+        for threads in ("1", None):
+            if threads:
+                env["VOLFORMER_THREADS"] = threads
+            else:
+                env.pop("VOLFORMER_THREADS")
+            done = subprocess.run(
+                [sys.executable, "-m", "volformer", "eval", "--config", str(cfg),
+                 "--quiet", "--force", "--split", "train"],
+                env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            reports.append((done.stdout, (tmp_path / "report.json").read_bytes()))
+        assert reports[0] == reports[1]
+
     def test_outputs_naming_no_file_refused_before_any_work(self, synth_env, capsys,
                                                            monkeypatch):
         """An empty output path, or one that is a directory, is refused
@@ -543,16 +612,20 @@ class TestConfigHandling:
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_thread_cap_env(self, monkeypatch):
-        from volformer.cli import _apply_thread_cap
+        """The CLI defaults every BLAS pool to one thread; VOLFORMER_THREADS
+        caps the inference workers instead."""
+        from volformer.cli import _one_blas_thread
+        from volformer.training import worker_count
 
         monkeypatch.setenv("VOLFORMER_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "2"
+        _one_blas_thread()
+        assert os.environ["OMP_NUM_THREADS"] == "1"
+        assert worker_count() == min(2, len(os.sched_getaffinity(0)))
 
     def test_thread_cap_set_before_numpy_loads(self):
-        """In a fresh interpreter, VOLFORMER_THREADS has reached the BLAS
-        variables by the time the CLI first imports numpy."""
+        """In a fresh interpreter, the BLAS variables read one thread by the
+        time the CLI first imports numpy, whatever VOLFORMER_THREADS says."""
         script = textwrap.dedent("""
             import os, sys
             seen = []
@@ -572,7 +645,33 @@ class TestConfigHandling:
         env.pop("OPENBLAS_NUM_THREADS", None)
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
-        assert done.stderr.strip().splitlines()[-1] == "0 ['3']"
+        assert done.stderr.strip().splitlines()[-1] == "0 ['1']"
+
+    def test_bad_thread_count_exits_1_from_main(self, monkeypatch, capsys):
+        """A bad VOLFORMER_THREADS is a config error from main; importing
+        the CLI with it set still works."""
+        env = dict(os.environ, VOLFORMER_THREADS="abc",
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "volformer", "inspect", "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: VOLFORMER_THREADS"), done.stderr
+        for value in ("", "0", "-1"):
+            monkeypatch.setenv("VOLFORMER_THREADS", value)
+            assert main(["inspect", "--quiet"]) == 1, value
+            assert "VOLFORMER_THREADS" in capsys.readouterr().err
+
+    def test_nul_in_a_path_key_exits_1_before_any_work(self, synth_env, capsys,
+                                                      monkeypatch):
+        import volformer.training as TR
+
+        tmp_path, cfg = synth_env
+        monkeypatch.setattr(TR, "train", None)  # calling it would raise TypeError
+        for key in ("history", "checkpoint_dir", "manifest"):
+            assert main(["train", "--config", str(cfg), "--quiet", "--force",
+                         "--set", f'paths.{key}="h\\u0000.jsonl"']) == 1, key
+            assert f"paths.{key} holds a NUL character" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
 
     def test_preprocess_zscore_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, preprocess={"normalize": "zscore"})

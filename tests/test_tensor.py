@@ -1,5 +1,6 @@
 """Tests for the tensor kernel and its reverse-mode gradients."""
 
+import threading
 import zlib
 
 import numpy as np
@@ -190,6 +191,25 @@ class TestBackward:
         x = leaf([1.0])
         out = T.add(x, x)
         assert not out.requires_grad
+
+    def test_tapes_are_per_thread(self):
+        """An op on another thread never records onto this thread's tape,
+        and a tape that thread opens records only its own ops."""
+        x = leaf([1.0])
+        seen = []
+
+        def other():
+            seen.append(T.add(x, x).requires_grad)
+            with T.Tape() as own:
+                T.add(x, x)
+            seen.append(len(own.nodes))
+
+        with T.Tape() as tape:
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert tape.nodes == [] and seen == [False, 1]
 
 
 def _away_from_kinks(arr, margin=0.05):

@@ -2,6 +2,11 @@
 
 import json
 import math
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -39,22 +44,13 @@ class TestConfig:
 
 
 class TestLoss:
-    def test_perfect_prediction_gives_zero(self):
-        probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert TR.sparse_ce_loss(probs, [0, 2]) == 0.0
-
-    def test_uniform_prediction_gives_ln3(self):
-        probs = np.full((4, 3), 1 / 3)
-        np.testing.assert_allclose(TR.sparse_ce_loss(probs, [0, 1, 2, 0]),
-                                   math.log(3.0), atol=1e-12)
-
     def test_fused_form_matches_probability_form(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((8, 3))
         labels = rng.integers(0, 3, size=8)
         fused = float(T.softmax_cross_entropy(T.Tensor(logits), labels).data)
         probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(fused, TR.sparse_ce_loss(probs, labels),
+        np.testing.assert_allclose(fused, -np.log(probs[np.arange(8), labels]).mean(),
                                    atol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -64,10 +60,6 @@ class TestLoss:
             lambda t: T.softmax_cross_entropy(t, labels),
             T.Tensor(rng.standard_normal((5, 3))), step=1e-5)
         assert err < 1e-6
-
-    def test_out_of_range_label_rejected(self):
-        with pytest.raises(DataError):
-            TR.sparse_ce_loss(np.full((1, 3), 1 / 3), [5])
 
 
 class TestAdam:
@@ -411,3 +403,125 @@ class TestInputPath:
         assert not (tmp_path / "history.jsonl").exists()
         for old, t in zip(before, params.tensors()):
             np.testing.assert_array_equal(t.data, old)
+
+
+@pytest.fixture
+def pool_of(monkeypatch):
+    """pool_of(n) puts a fresh n-thread inference pool in place of the
+    process's own for the rest of the test, and shuts it down after."""
+    made = []
+
+    def install(n):
+        made.append(ThreadPoolExecutor(n))
+        monkeypatch.setattr(TR, "_pool", made[-1])
+
+    yield install
+    for pool in made:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def worker_sets(n=67):
+    config = tiny_config()
+    params = M.ModelParams.initialize(config, seed=4)
+    rng = np.random.default_rng(12)
+    volumes = [Volume(f"v{i}", int(rng.integers(config.num_classes)),
+                      rng.random(config.input_shape, dtype=np.float32)) for i in range(n)]
+    return config, params, volumes
+
+
+class TestWorkerPool:
+    """Inference chunks run on a thread pool; results must not depend on
+    the number of workers or the order in which chunks finish."""
+
+    def run_both(self, config, params, volumes):
+        return (TR.predict_probs(params, config, volumes, 40),
+                TR.evaluate(params, config, volumes, 40))
+
+    def test_bit_identical_at_one_and_two_workers(self, pool_of, monkeypatch):
+        config, params, volumes = worker_sets()
+        pool_of(1)
+        probs1, eval1 = self.run_both(config, params, volumes)
+        pool_of(2)
+        real = TR._chunk_logits
+        finished = []
+
+        def first_chunk_last(chunk, params, config):
+            if chunk[0] is volumes[0]:
+                time.sleep(0.3)
+            out = real(chunk, params, config)
+            finished.append(chunk[0].id)
+            return out
+
+        monkeypatch.setattr(TR, "_chunk_logits", first_chunk_last)
+        probs2, eval2 = self.run_both(config, params, volumes)
+        assert len(finished) == 6 and finished[2::3] == ["v0", "v0"]
+        np.testing.assert_array_equal(probs2, probs1)
+        assert eval2 == eval1
+
+    def test_worker_error_reaches_the_caller_and_the_pool_survives(self, pool_of):
+        config, params, volumes = worker_sets()
+        pool_of(2)
+        voxels = volumes[45].voxels.copy()
+        voxels[0, 0, 0, 0] = np.nan
+        bad = volumes[:45] + [Volume("nan", 0, voxels)] + volumes[46:]
+        with pytest.raises(NumericError):
+            TR.predict_probs(params, config, bad, 40)
+        got = []
+        after = threading.Thread(
+            target=lambda: got.append(TR.predict_probs(params, config, volumes, 40)))
+        after.start()
+        after.join(timeout=60)
+        assert not after.is_alive()
+        np.testing.assert_array_equal(got[0], TR.predict_probs(params, config, volumes, 40))
+
+    def test_inference_inside_an_open_tape_records_nothing(self):
+        config, params, volumes = worker_sets(9)
+        with T.Tape() as tape:
+            TR.predict_probs(params, config, volumes)
+            TR.evaluate(params, config, volumes)
+        assert tape.nodes == []
+
+    def test_concurrent_callers_get_their_own_results(self, pool_of):
+        """More workers than cores and a short switch interval: callers on
+        four threads share the pool, and each gets the serial result."""
+        config, params, volumes = worker_sets(41)
+        pool_of(1)
+        expected = [TR.predict_probs(params, config, volumes[i:], 16) for i in range(4)]
+        pool_of(4)
+        got = [None] * 4
+
+        def call(i):
+            got[i] = TR.predict_probs(params, config, volumes[i:], 16)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have, want)
+
+
+class TestWorkerCount:
+    """VOLFORMER_THREADS caps the pool at the core count; no pool is made."""
+
+    @pytest.mark.parametrize("value", ["", "0", "-1", "abc", "2.5"])
+    def test_bad_values_name_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("VOLFORMER_THREADS", value)
+        with pytest.raises(ConfigError, match="VOLFORMER_THREADS"):
+            TR.worker_count()
+
+    def test_capped_at_the_core_count(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        monkeypatch.setenv("VOLFORMER_THREADS", "100000")
+        assert TR.worker_count() == cores
+        monkeypatch.setenv("VOLFORMER_THREADS", "1")
+        assert TR.worker_count() == 1
+        monkeypatch.delenv("VOLFORMER_THREADS")
+        assert TR.worker_count() == cores
