@@ -34,8 +34,8 @@ _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
 
 
 def _one_blas_thread() -> None:
-    """Default each BLAS pool to one thread: every inference worker makes
-    its own BLAS calls, so more threads would only contend for the cores."""
+    """Default each BLAS pool to one thread: every chunk worker makes its
+    own BLAS calls, so more threads would only contend for the cores."""
     for var in _THREAD_ENV_VARS:
         os.environ.setdefault(var, "1")
 
@@ -512,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumetric scan classification pipeline.",
         epilog=_config_help() + "\n\nexit codes: 0 ok, 1 invalid input, "
                "2 I/O or dataset failure, 3 checkpoint/config mismatch.\n"
-               "VOLFORMER_THREADS caps the inference worker threads (default: one "
-               "per core), each with one BLAS thread.",
+               "VOLFORMER_THREADS caps the training and inference worker threads "
+               "(default: one per core), each with one BLAS thread.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")

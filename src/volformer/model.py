@@ -305,12 +305,8 @@ def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Ten
             f"{token_grid(config).total}"
         )
     weight = params["embed.weight"]
-    b, n, width = tokens.shape
-    # one GEMM over all B * N token rows reads the weight once, where a
-    # batched product would re-read it for every volume
-    x = T.Tensor(tokens.reshape(b * n, width).astype(weight.dtype, copy=False))
-    z = T.reshape(T.matmul(x, weight), (b, n, config.embed_dim)) + params["embed.bias"]
-    return z + params["pos_embed"]
+    x = T.Tensor(tokens.astype(weight.dtype, copy=False))
+    return T.linear(x, weight, params["embed.bias"]) + params["pos_embed"]
 
 
 def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
@@ -322,18 +318,18 @@ def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
             f"input width {x.shape[-1]} does not match embed_dim {config.embed_dim} "
             f"({config.num_heads} heads of {config.head_dim})"
         )
-    q, k, v = (T.matmul(x, params[f"{prefix}attn.{name}_weight"])
-               + params[f"{prefix}attn.{name}_bias"] for name in "qkv")
+    q, k, v = (T.linear(x, params[f"{prefix}attn.{name}_weight"],
+                        params[f"{prefix}attn.{name}_bias"]) for name in "qkv")
     heads = T.attention(q, k, v, config.num_heads, attn_sink)
-    out = T.matmul(heads, params[prefix + "attn.out_weight"])
-    return out + params[prefix + "attn.out_bias"]
+    return T.linear(heads, params[prefix + "attn.out_weight"],
+                    params[prefix + "attn.out_bias"])
 
 
 def ffn(x: T.Tensor, params: ModelParams, prefix: str) -> T.Tensor:
     """Two dense layers of the block at `prefix` with a ReLU between,
     applied rowwise."""
-    hidden = T.relu(T.matmul(x, params[prefix + "ffn.w1"]) + params[prefix + "ffn.b1"])
-    return T.matmul(hidden, params[prefix + "ffn.w2"]) + params[prefix + "ffn.b2"]
+    hidden = T.relu(T.linear(x, params[prefix + "ffn.w1"], params[prefix + "ffn.b1"]))
+    return T.linear(hidden, params[prefix + "ffn.w2"], params[prefix + "ffn.b2"])
 
 
 def encoder_block(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
@@ -360,7 +356,7 @@ def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> 
     h = T.layer_norm(z, params["final_norm.gamma"], params["final_norm.beta"],
                      config.layer_norm_eps)
     pooled = T.reduce_mean(h, axis=1)
-    return T.matmul(pooled, params["head.weight"]) + params["head.bias"]
+    return T.linear(pooled, params["head.weight"], params["head.bias"])
 
 
 def tokenize(volumes: np.ndarray, config: ModelConfig,

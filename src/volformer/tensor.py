@@ -177,33 +177,31 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading axes broadcast."""
-    _check_dtypes(a, b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise DimensionError(f"matmul batch dims incompatible: {a.shape} x {b.shape}") from exc
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x [..., n], a weight w [n, m] and a bias b [m].
+
+    One tape node: one GEMM over the rows of x, which reads the weight
+    once for all of them, with the bias added in place.
+    """
+    _check_dtypes(x, w, b)
+    if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear needs x [..., n], w [n, m] and b [m], got "
+                             f"{x.shape}, {w.shape} and {b.shape}")
+    rows = x.data.reshape(-1, w.shape[0])
+    out = rows @ w.data
+    out += b.data
 
     def vjp(g):
         # an operand that needs no gradient (tokens, constants) gets none:
         # its gradient can be the largest array of the whole backward pass
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad and b.data.ndim == 2 and a.data.ndim > 2:
-            # a weight shared over leading axes: one GEMM over the flattened
-            # rows, not a batched product summed over the batch afterwards
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        elif b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        g_rows = g.reshape(-1, w.shape[1])
+        dx = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        dw = rows.T @ g_rows if w.requires_grad else None
+        db = np.ones(len(g_rows), g.dtype) @ g_rows if b.requires_grad else None
+        return dx, dw, db
 
-    return _record(out, (a, b), vjp)
+    return _record(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -101,8 +102,8 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
                 f"match configured input {config.input_shape}")
 
 
-def _token_buffer(rows: int, config: M.ModelConfig) -> np.ndarray:
-    return np.empty((rows, M.token_grid(config).total, config.token_width), np.float32)
+def _token_buffer(rows: int, config: M.ModelConfig, dtype) -> np.ndarray:
+    return np.empty((rows, M.token_grid(config).total, config.token_width), dtype)
 
 
 # Every forward and backward runs on at most _CHUNK volumes. At 128 volumes
@@ -111,8 +112,8 @@ def _token_buffer(rows: int, config: M.ModelConfig) -> np.ndarray:
 # cache: there (OpenBLAS, one BLAS thread) a 128-volume reference forward took
 # 261-269 ms as one pass and 177-184 ms in chunks of 32.
 _CHUNK = 32
-# An inference worker tokenizes and embeds its chunk _SUB volumes at a time,
-# through a token buffer of its own: 4 MB at the reference config, where
+# A worker tokenizes and embeds its chunk _SUB volumes at a time, through a
+# token buffer of its own: 4 MB at the reference config, where
 # _CHUNK-volume buffers for 2 workers raised eval's peak RSS from 158 to 175 MB.
 _SUB = 8
 
@@ -132,22 +133,21 @@ def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
 
 
 def _chunk_tokens(volumes: Sequence[Volume], config: M.ModelConfig, buf: np.ndarray):
-    """(chunk, tokens) for each chunk of volumes, cut by _chunks to at most
-    len(buf) volumes: tokens [len(chunk), N, token_width] in the leading
-    rows of the buffer buf, which the next chunk overwrites. They are
-    written volume by volume, so no stacked copy of the voxels is made.
+    """(s, tokens) for each slice s of volumes cut by _chunks to at most
+    len(buf) volumes: tokens [len(volumes[s]), N, token_width] in the
+    leading rows of the buffer buf, which the next slice overwrites. They
+    are written volume by volume, so no stacked copy of the voxels is made.
     Shapes must have passed _check_shapes."""
     for s in _chunks(len(volumes), len(buf)):
-        chunk = volumes[s]
-        for i, volume in enumerate(chunk):
+        for i, volume in enumerate(volumes[s]):
             M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
-        yield chunk, buf[: len(chunk)]
+        yield s, buf[: s.stop - s.start]
 
 
 def worker_count() -> int:
-    """Threads of the inference worker pool: the cores this process may
-    run on, capped by the VOLFORMER_THREADS environment variable when it
-    is set. A value that is not an integer >= 1 is a ConfigError."""
+    """Threads of the chunk worker pool: the cores this process may run
+    on, capped by the VOLFORMER_THREADS environment variable when it is
+    set. A value that is not an integer >= 1 is a ConfigError."""
     cores = len(os.sched_getaffinity(0))
     raw = os.environ.get("VOLFORMER_THREADS")
     if raw is None:
@@ -167,7 +167,7 @@ _worker = threading.local()  # .buf: the calling worker's token buffer
 
 
 def _workers() -> ThreadPoolExecutor:
-    """The inference worker pool, started on first use with worker_count()
+    """The chunk worker pool, started on first use with worker_count()
     threads. numpy releases the GIL inside BLAS and long ufunc loops, so
     workers with one BLAS thread each keep that many cores busy."""
     global _pool
@@ -177,22 +177,82 @@ def _workers() -> ThreadPoolExecutor:
         return _pool
 
 
+def _on_workers(fn, chunks: Sequence[Sequence[Volume]], params: M.ModelParams,
+                config: M.ModelConfig):
+    """fn(chunk, params, config) for each chunk, yielded in chunk order.
+
+    Every chunk goes to the worker pool up front; taking the results in
+    chunk order gives the same bits at any worker count and in any order
+    the chunks finish. The first error a chunk raises is raised here; the
+    chunks not yet started are then dropped, as they are when the caller
+    stops early.
+    """
+    pool = _workers()
+    futures = deque(pool.submit(fn, chunk, params, config) for chunk in chunks)
+    try:
+        while futures:  # a result is dropped here once the caller has it
+            yield futures.popleft().result()
+    finally:
+        for future in futures:
+            future.cancel()
+
+
+def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig):
+    """_chunk_tokens of chunk in sub-blocks of at most _SUB volumes, written
+    into the calling worker's token buffer in the parameters' dtype."""
+    shape = (_SUB, M.token_grid(config).total, config.token_width)
+    dtype = params["embed.weight"].dtype
+    buf = getattr(_worker, "buf", None)
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = _worker.buf = _token_buffer(_SUB, config, dtype)
+    return _chunk_tokens(chunk, config, buf)
+
+
+def _embed_chunk(chunk: Sequence[Volume], params: M.ModelParams,
+                 config: M.ModelConfig) -> np.ndarray:
+    """Embeddings [len(chunk), N, d] of one chunk, made without a tape one
+    sub-block at a time. Each sub-block's GEMM rows start on a multiple of
+    4, so they equal one embed over the chunk bit for bit."""
+    return np.concatenate([M.embed(x, params, config).data
+                           for _, x in _sub_blocks(chunk, params, config)])
+
+
 def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams,
                   config: M.ModelConfig) -> np.ndarray:
-    """Logits [len(chunk), classes] of one chunk, run on a worker thread.
-
-    Tokenize and embed go _SUB volumes at a time through the worker's
-    token buffer; each sub-block's GEMM rows start on a multiple of 4, so
-    the embeddings equal one embed over the chunk bit for bit. The encoder
-    and head then run on the whole chunk.
-    """
-    shape = (_SUB, M.token_grid(config).total, config.token_width)
-    buf = getattr(_worker, "buf", None)
-    if buf is None or buf.shape != shape:
-        buf = _worker.buf = _token_buffer(_SUB, config)
-    z = T.Tensor(np.concatenate([M.embed(x, params, config).data
-                                 for _, x in _chunk_tokens(chunk, config, buf)]))
+    """Logits [len(chunk), classes] of one chunk, run on a worker thread:
+    the encoder and head run on the whole chunk's embeddings."""
+    z = T.Tensor(_embed_chunk(chunk, params, config))
     return M.classifier_logits(M.encode(z, params, config), params, config).data
+
+
+def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
+                    config: M.ModelConfig) -> tuple[float, list[np.ndarray]]:
+    """(mean cross-entropy, its gradient for each parameter in canonical
+    order) of one chunk, run on a worker thread.
+
+    The chunk's tape records onto leaf tensors of its own over the
+    parameter arrays, so no two chunks write one .grad. The embed runs
+    outside the tape and its output z is a leaf: from z's gradient, the
+    embed weight's is summed over the sub-blocks of _embed_chunk, each
+    tokenized again into the worker's buffer, and the bias and positional
+    gradients are sums over rows and volumes.
+    """
+    own = M.ModelParams(config, {name: T.Tensor(t.data, requires_grad=True)
+                                 for name, t in params.named_parameters()})
+    z = T.Tensor(_embed_chunk(chunk, params, config), requires_grad=True)
+    with T.Tape() as tape:
+        logits = M.classifier_logits(M.encode(z, own, config), own, config)
+        loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
+    tape.backward(loss, leaves=[z, *own.tensors()])
+    del tape  # the activations go before the embed gradient is made
+    g = z.grad
+    g_rows = g.reshape(-1, config.embed_dim)
+    weight = own["embed.weight"].grad  # zeros: the embed is not on the tape
+    for s, x in _sub_blocks(chunk, params, config):
+        weight += x.reshape(-1, config.token_width).T @ g[s].reshape(-1, config.embed_dim)
+    own["embed.bias"].grad = np.ones(len(g_rows), g.dtype) @ g_rows
+    own["pos_embed"].grad = g.sum(axis=0)
+    return float(loss.data), [t.grad for t in own.tensors()]
 
 
 def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,
@@ -201,25 +261,17 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
 
     Every chunk of every batch goes to the worker pool up front, and each
     batch's logits are gathered in chunk order, so they are bit-identical
-    to one forward_logits pass over the batch at any worker count. The
-    first error a chunk raises is raised here; the chunks not yet started
-    are then dropped.
+    to one forward_logits pass over the batch at any worker count.
     """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     _check_shapes(volumes, config)
-    pool = _workers()
     batches = [volumes[start : start + batch_size]
                for start in range(0, len(volumes), batch_size)]
-    pending = [[pool.submit(_chunk_logits, batch[s], params, config)
-                for s in _chunks(len(batch))] for batch in batches]
-    try:
-        for batch, futures in zip(batches, pending):
-            yield batch, T.Tensor(np.concatenate([f.result() for f in futures]))
-    finally:
-        for futures in pending:
-            for f in futures:
-                f.cancel()
+    logits = _on_workers(_chunk_logits, [batch[s] for batch in batches
+                                         for s in _chunks(len(batch))], params, config)
+    for batch in batches:
+        yield batch, T.Tensor(np.concatenate([next(logits) for _ in _chunks(len(batch))]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],
@@ -247,30 +299,26 @@ def predict_probs(params: M.ModelParams, config: M.ModelConfig,
 
 
 def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
-                    volumes: Sequence[Volume], buf: np.ndarray,
-                    leaves: Sequence[T.Tensor]) -> float:
+                    volumes: Sequence[Volume], leaves: Sequence[T.Tensor]) -> float:
     """Set every leaf's .grad to the gradient of the mean cross-entropy over
     the batch volumes, and return the summed loss of the batch.
 
-    Each chunk of the batch runs on its own tape, with its tokens written
-    into buf (which the embed VJP reads, so the next chunk's tokens wait
-    for the chunk's backward); the chunk gradients are summed, each
-    weighted by its share of the batch.
+    The chunks of the batch run on the worker pool (_chunk_gradient), and
+    their gradients are summed in chunk order, each weighted by its share
+    of the batch.
     """
+    chunks = [volumes[s] for s in _chunks(len(volumes))]
     loss_sum = 0.0
     total = None
-    for chunk, x in _chunk_tokens(volumes, config, buf):
-        with T.Tape() as tape:
-            logits = M.logits_from_tokens(x, params, config)
-            loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
-        tape.backward(loss, leaves=leaves)
-        loss_sum += float(loss.data) * len(chunk)
+    for chunk, (loss, grads) in zip(chunks, _on_workers(_chunk_gradient, chunks,
+                                                        params, config)):
+        loss_sum += loss * len(chunk)
         w = len(chunk) / len(volumes)  # 1.0 for a one-chunk batch, which keeps its bits
         if total is None:
-            total = [leaf.grad * w for leaf in leaves]
+            total = [g * w for g in grads]
         else:
-            for acc, leaf in zip(total, leaves):
-                acc += leaf.grad * w
+            for acc, g in zip(total, grads):
+                acc += g * w
     for leaf, g in zip(leaves, total):
         leaf.grad = g
     return loss_sum
@@ -295,12 +343,12 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     derived from cfg.seed (derive_seed(seed, 1)), walks it in batches of
     cfg.batch_size (last partial batch kept), one Adam step per batch,
     and evaluates the validation set. A batch's forward and backward run
-    in chunks of at most _CHUNK volumes, each tokenized from its volumes
-    into one buffer as inference does, so peak memory stops growing with
-    cfg.batch_size past _CHUNK and holds no copy of the training set. A
-    checkpoint is written only when the monitored metric strictly
-    improves. Identical seeds give bit-identical histories and checkpoint
-    bytes.
+    in chunks of at most _CHUNK volumes on the worker pool, each tokenized
+    from its volumes as inference does, so peak memory stops growing with
+    cfg.batch_size past one chunk per worker and holds no copy of the
+    training set. A checkpoint is written only when the monitored metric
+    strictly improves. Identical seeds give bit-identical histories and
+    checkpoint bytes at any worker count.
 
     The history file at history_path is JSONL, one {"epoch",
     "train_loss", "val_loss", "val_acc", "checkpointed"} record per
@@ -312,7 +360,6 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     _check_shapes(train_set, config)
     _check_shapes(val_set, config)
     n = len(train_set)
-    buf = _token_buffer(min(n, cfg.batch_size, _CHUNK), config)
     leaves = params.tensors()
     state = AdamState(params)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
@@ -328,7 +375,7 @@ def train(params: M.ModelParams, config: M.ModelConfig,
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 epoch_loss += _batch_gradient(
-                    params, config, shuffled[start : start + cfg.batch_size], buf, leaves)
+                    params, config, shuffled[start : start + cfg.batch_size], leaves)
                 adam_step(params, state, cfg)
             val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
             metric = val_loss if minimize else val_acc

@@ -37,9 +37,11 @@ def random_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPara
 
 def project(t: T.Tensor, c) -> T.Tensor:
     """The scalar sum(t * c) for a constant array c of t's shape, built
-    from taped ops: a [1, n] x [n, 1] matmul reshaped to ()."""
+    from taped ops: a [1, n] x [n, 1] linear with a zero bias, reshaped
+    to ()."""
     column = np.asarray(c, dtype=t.dtype).reshape(t.size, 1)
-    return T.reshape(T.matmul(T.reshape(t, (1, t.size)), T.Tensor(column)), ())
+    zero = T.Tensor(np.zeros(1, t.dtype))
+    return T.reshape(T.linear(T.reshape(t, (1, t.size)), T.Tensor(column), zero), ())
 
 
 def set_config_keys(path, **values) -> None:

@@ -359,6 +359,23 @@ class TestTrainEvalPredict:
             reports.append((done.stdout, (tmp_path / "report.json").read_bytes()))
         assert reports[0] == reports[1]
 
+    def test_train_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys):
+        """Batches of 48 run as two chunks of 24, on one worker and on two."""
+        cfg = write_config(tmp_path, train={"batch_size": 48}, synth={"n_per_class": 30})
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-m", "volformer", "train", "--config", str(cfg),
+                 "--quiet", "--force"],
+                env=dict(env, VOLFORMER_THREADS=threads), capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, (tmp_path / "history.jsonl").read_bytes(),
+                         (tmp_path / "ckpt" / "model.vvck").read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_outputs_naming_no_file_refused_before_any_work(self, synth_env, capsys,
                                                            monkeypatch):
         """An empty output path, or one that is a directory, is refused
@@ -613,7 +630,7 @@ class TestConfigHandling:
 
     def test_thread_cap_env(self, monkeypatch):
         """The CLI defaults every BLAS pool to one thread; VOLFORMER_THREADS
-        caps the inference workers instead."""
+        caps the chunk workers instead."""
         from volformer.cli import _one_blas_thread
         from volformer.training import worker_count
 

@@ -398,13 +398,13 @@ class TestEncoderBlock:
         out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
         assert np.isfinite(out.data).all()
 
-    def test_records_18_tape_nodes(self, tiny):
-        """2 layer norms, 2 residual adds, q/k/v projections with biases (6),
-        the attention op, the output projection and bias (2), and the FFN (5)."""
+    def test_records_12_tape_nodes(self, tiny):
+        """2 layer norms, 2 residual adds, the q/k/v projections (3), the
+        attention op, the output projection, and the FFN (3)."""
         params = random_params(tiny, seed=15)
         with T.Tape() as tape:
             M.encoder_block(T.Tensor(np.zeros((1, 8, 8))), params, "layers.0.", tiny)
-        assert len(tape.nodes) == 18
+        assert len(tape.nodes) == 12
 
     def test_gradient_wrt_input(self, tiny):
         params = random_params(tiny, seed=14)

@@ -18,25 +18,42 @@ def leaf(data, dtype=np.float64):
     return T.Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
+def matmul(a, b):
+    """The product a @ b, as T.linear with a zero bias."""
+    return T.linear(a, b, T.Tensor(np.zeros(b.shape[1:], b.dtype)))
+
+
 class TestForwardSemantics:
     def test_matmul_hand_case(self):
-        out = T.matmul(leaf([[1, 2], [3, 4]]), leaf([[5, 6], [7, 8]]))
+        out = matmul(leaf([[1, 2], [3, 4]]), leaf([[5, 6], [7, 8]]))
         np.testing.assert_array_equal(out.data, [[19, 22], [43, 50]])
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal((3, 5))
-        out = T.matmul(leaf(a), leaf(np.eye(5)))
+        out = matmul(leaf(a), leaf(np.eye(5)))
         np.testing.assert_array_equal(out.data, a)
 
     def test_matmul_zero(self):
         b = np.random.default_rng(0).standard_normal((4, 2))
-        out = T.matmul(leaf(np.zeros((3, 4))), leaf(b))
+        out = matmul(leaf(np.zeros((3, 4))), leaf(b))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2)))
 
     def test_matmul_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            T.matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 2))))
+            matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 2))))
+
+    def test_linear_hand_case(self):
+        """Rows of any rank: [2, 1, 2] rows times [2, 2], plus the bias."""
+        out = T.linear(leaf([[[1, 2]], [[3, 4]]]), leaf([[5, 6], [7, 8]]), leaf([1, -1]))
+        np.testing.assert_array_equal(out.data, [[[20, 21]], [[44, 49]]])
+
+    @pytest.mark.parametrize("x, w, b", [((2, 3), (3, 2), (3,)), ((2, 3), (3, 2), (1, 2)),
+                                         ((2, 3), (3,), (3,)), ((), (1, 1), (1,))],
+                             ids=["bias_extent", "bias_rank", "weight_rank", "scalar_x"])
+    def test_linear_shape_mismatch(self, x, w, b):
+        with pytest.raises(DimensionError):
+            T.linear(leaf(np.ones(x)), leaf(np.ones(w)), leaf(np.ones(b)))
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(T.softmax(leaf([0.0, 0.0])).data, [0.5, 0.5])
@@ -138,7 +155,7 @@ class TestBackward:
         """d/dx sum(x^2) = 2x; at x=[1,2] that is [2, 4]."""
         x = leaf([1.0, 2.0])
         with T.Tape() as tape:
-            squares = T.matmul(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)))
+            squares = matmul(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)))
             out = T.reshape(squares, ())
         tape.backward(out)
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
@@ -161,24 +178,24 @@ class TestBackward:
         rng = np.random.default_rng(7)
         x, w = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal((5, 3)))
         with T.Tape() as tape:
-            out = T.reduce_mean(T.softmax(T.matmul(x, w), axis=-1))
+            out = T.reduce_mean(T.softmax(matmul(x, w), axis=-1))
         tape.backward(out, leaves=[x, w])
         first = (x.grad.copy(), w.grad.copy())
         tape.backward(out, leaves=[x, w])
         assert (first[0] == x.grad).all() and (first[1] == w.grad).all()
 
     def test_matmul_vjp_skips_operands_without_grad(self):
+        """linear's VJP gives no gradient to an input that needs none."""
         rng = np.random.default_rng(5)
         constant = T.Tensor(rng.standard_normal((2, 3, 4)))
         weight = leaf(rng.standard_normal((4, 5)))
-        g = np.ones((2, 3, 5))
         with T.Tape() as tape:
-            T.matmul(constant, weight)
-            T.matmul(weight, T.Tensor(rng.standard_normal((5, 2))))
-        ga, gb = tape.nodes[0].vjp(g)
-        assert ga is None and gb.shape == (4, 5)
-        ga, gb = tape.nodes[1].vjp(np.ones((4, 2)))
-        assert ga.shape == (4, 5) and gb is None
+            T.linear(constant, weight, T.Tensor(np.zeros(5)))
+            T.linear(weight, T.Tensor(rng.standard_normal((5, 2))), leaf(np.zeros(2)))
+        dx, dw, db = tape.nodes[0].vjp(np.ones((2, 3, 5)))
+        assert dx is None and dw.shape == (4, 5) and db is None
+        dx, dw, db = tape.nodes[1].vjp(np.ones((4, 2)))
+        assert dx.shape == (4, 5) and dw is None and db.shape == (2,)
 
     def test_tensor_reused_twice_accumulates(self):
         x = leaf([3.0])
@@ -237,12 +254,18 @@ class TestFiniteDifferenceOracle:
 
     CASES = {
         "add": lambda x, c: project(T.add(x, T.Tensor(c[0])), c),
-        "matmul": lambda x, c: project(T.matmul(x, T.Tensor(c.T)), c @ c.T),
-        # a constant rank-3 left operand: the weight gradient is one GEMM
-        # over the flattened leading axes
-        "matmul_weight": lambda x, c: project(
-            T.matmul(T.Tensor(np.stack([c.T, c.T[:, ::-1]])), x),
+        "linear_x": lambda x, c: project(
+            T.linear(x, T.Tensor(c.T), T.Tensor(c[0, :3])), c @ c.T),
+        # rank-3 constant rows: the weight gradient is one GEMM over the
+        # flattened leading axes
+        "linear_w": lambda x, c: project(
+            T.linear(T.Tensor(np.stack([c.T, c.T[:, ::-1]])), x, T.Tensor(c[1])),
             np.stack([c.T, c.T[:, ::-1]]) @ c),
+        # a positive projection keeps the bias gradient, a sum over the
+        # rows, away from 0
+        "linear_b": lambda x, c: project(
+            T.linear(T.Tensor(c), T.Tensor(np.tile(c.T, 4)), T.reshape(x, (12,))),
+            np.abs(np.tile(c, 3))),
         "reshape": lambda x, c: project(T.reshape(x, (x.size,)), c.reshape(-1)),
         "reduce_mean_axis": lambda x, c: project(T.reduce_mean(x, axis=0), c[0]),
         "relu": lambda x, c: project(T.relu(x), c),
@@ -317,7 +340,7 @@ class TestFiniteDifferenceOracle:
         c = rng.standard_normal((3, 4))
 
         def f(t):
-            return project(T.softmax(T.matmul(t, T.Tensor(w)), -1), c)
+            return project(T.softmax(matmul(t, T.Tensor(w)), -1), c)
 
         err = T.finite_difference_check(f, T.Tensor(rng.standard_normal((3, 4))), 1e-5)
         assert err < 1e-6

@@ -298,12 +298,36 @@ class TestMicroBatches:
         whole = np.concatenate([leaf.grad.ravel() for leaf in leaves])
 
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in idx]
-        buf = np.empty((TR._CHUNK,) + tokens.shape[1:], tokens.dtype)
-        loss_sum = TR._batch_gradient(params, config, volumes, buf, leaves)
+        loss_sum = TR._batch_gradient(params, config, volumes, leaves)
         chunked = np.concatenate([leaf.grad.ravel() for leaf in leaves])
         assert len(TR._chunks(n)) == 3
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
         assert loss_sum / n == pytest.approx(float(loss.data), rel=1e-12)
+
+    def test_sub_blocked_embed_gradient_equals_the_taped_one(self):
+        """A chunk of 20 volumes embeds in sub-blocks of 8, 8 and 4 outside
+        the tape; its embed gradients match a tape through M.embed, and
+        every other gradient is the same bits."""
+        n = 20
+        config = tiny_config()
+        params = random_params(config, seed=22)  # float64
+        rng = np.random.default_rng(13)
+        voxels = rng.standard_normal((n,) + config.input_shape)
+        labels = rng.integers(0, config.num_classes, size=n)
+        with T.Tape() as tape:
+            loss = T.softmax_cross_entropy(
+                M.forward_logits(voxels, params, config), labels)
+        tape.backward(loss, leaves=params.tensors())
+        volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
+        chunk_loss, grads = TR._chunk_gradient(volumes, params, config)
+        assert len(TR._chunks(n, TR._SUB)) == 3
+        assert chunk_loss == float(loss.data)
+        for (name, leaf), got in zip(params.named_parameters(), grads):
+            if name in ("embed.weight", "embed.bias", "pos_embed"):
+                err = np.linalg.norm(got - leaf.grad) / np.linalg.norm(leaf.grad)
+                assert err <= 1e-12, (name, err)
+            else:
+                np.testing.assert_array_equal(got, leaf.grad, err_msg=name)
 
     def test_train_loss_is_the_batch_mean(self, tmp_path):
         """One epoch of one 67-volume batch logs the mean loss over the
@@ -331,7 +355,7 @@ class TestInputPath:
         rng = np.random.default_rng(8)
         volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
                    for i in range(5)]
-        buf = TR._token_buffer(7, config)
+        buf = TR._token_buffer(7, config, np.float32)
         [(_, got)] = TR._chunk_tokens(volumes, config, buf)
         stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
         np.testing.assert_array_equal(got, M.tokenize(stacked, config))
@@ -357,17 +381,19 @@ class TestInputPath:
             tracemalloc.stop()
         assert peak < set_bytes / 2, peak / 2**20
 
-    def test_train_holds_no_token_copy_of_the_set(self):
+    def test_train_holds_no_token_copy_of_the_set(self, pool_of):
         """Tripling the training set must not raise train's peak by the
         tokens of the extra volumes: a token copy of the set is as large as
-        the set, 32 MB more here (the chunk-gradient sums add about 2 MB)."""
+        the set, 64 MB more here. On two workers both sizes keep two chunks
+        in flight (the chunk-gradient sums add about 2 MB)."""
         import tracemalloc
 
+        pool_of(2)
         config = M.ModelConfig()
         rng = np.random.default_rng(10)
         volumes = [Volume(f"v{i}", i % config.num_classes,
                           rng.random(config.input_shape, dtype=np.float32))
-                   for i in range(96)]
+                   for i in range(192)]
 
         def peak(train_set):
             params = M.ModelParams.initialize(config, seed=0)
@@ -379,8 +405,8 @@ class TestInputPath:
             finally:
                 tracemalloc.stop()
 
-        extra = sum(v.voxels.nbytes for v in volumes[32:])
-        growth = peak(volumes) - peak(volumes[:32])
+        extra = sum(v.voxels.nbytes for v in volumes[64:])
+        growth = peak(volumes) - peak(volumes[:64])
         assert growth < extra / 4, growth / 2**20
 
     def test_mixed_shapes_name_the_volume(self, tmp_path):
@@ -407,7 +433,7 @@ class TestInputPath:
 
 @pytest.fixture
 def pool_of(monkeypatch):
-    """pool_of(n) puts a fresh n-thread inference pool in place of the
+    """pool_of(n) puts a fresh n-thread worker pool in place of the
     process's own for the rest of the test, and shuts it down after."""
     made = []
 
@@ -474,6 +500,16 @@ class TestWorkerPool:
         assert not after.is_alive()
         np.testing.assert_array_equal(got[0], TR.predict_probs(params, config, volumes, 40))
 
+    def test_float64_parameters_keep_their_precision(self):
+        """The workers' token buffer takes the parameters' dtype, so float64
+        volumes are not rounded to float32 on their way to the embed."""
+        config = tiny_config()
+        params = random_params(config, seed=21)  # float64
+        voxels = np.random.default_rng(14).standard_normal((45,) + config.input_shape)
+        volumes = [Volume(f"v{i}", 0, v) for i, v in enumerate(voxels)]
+        np.testing.assert_allclose(TR.predict_probs(params, config, volumes, 40),
+                                   M.forward(voxels, params, config).data, rtol=0, atol=1e-12)
+
     def test_inference_inside_an_open_tape_records_nothing(self):
         config, params, volumes = worker_sets(9)
         with T.Tape() as tape:
@@ -506,6 +542,105 @@ class TestWorkerPool:
         assert not any(t.is_alive() for t in threads)
         for want, have in zip(expected, got):
             np.testing.assert_array_equal(have, want)
+
+
+class TestTrainingWorkers:
+    """Training chunks run on the worker pool; the summed gradient must not
+    depend on the number of workers or the order in which chunks finish."""
+
+    @staticmethod
+    def gradient(params, config, volumes):
+        leaves = params.tensors()
+        loss_sum = TR._batch_gradient(params, config, volumes, leaves)
+        return loss_sum, [leaf.grad.copy() for leaf in leaves]
+
+    def test_bit_identical_at_one_and_two_workers(self, pool_of, monkeypatch):
+        config, params, volumes = worker_sets()  # chunks of 24, 24 and 19
+        pool_of(1)
+        loss1, grads1 = self.gradient(params, config, volumes)
+        pool_of(2)
+        real = TR._chunk_gradient
+        finished = []
+
+        def first_chunk_last(chunk, params, config):
+            if chunk[0] is volumes[0]:
+                time.sleep(0.3)
+            out = real(chunk, params, config)
+            finished.append(chunk[0].id)
+            return out
+
+        monkeypatch.setattr(TR, "_chunk_gradient", first_chunk_last)
+        loss2, grads2 = self.gradient(params, config, volumes)
+        assert finished == ["v24", "v48", "v0"]
+        assert loss2 == loss1
+        for got, want in zip(grads2, grads1):
+            np.testing.assert_array_equal(got, want)
+
+    def test_more_workers_than_cores(self, pool_of):
+        """Six chunks on four workers with a short switch interval: no chunk
+        writes another's gradient."""
+        config, params, volumes = worker_sets(41)
+        volumes = volumes * 4  # 164 volumes: 6 chunks of 28 or 24
+        pool_of(1)
+        want = self.gradient(params, config, volumes)
+        pool_of(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.gradient(params, config, volumes)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == want[0]
+        for have, expected in zip(got[1], want[1]):
+            np.testing.assert_array_equal(have, expected)
+
+    def test_worker_error_reaches_the_caller_and_the_pool_survives(self, pool_of):
+        config, params, volumes = worker_sets()
+        pool_of(2)
+        voxels = volumes[45].voxels.copy()
+        voxels[0, 0, 0, 0] = np.nan
+        bad = volumes[:45] + [Volume("nan", 0, voxels)] + volumes[46:]
+        cfg = TR.TrainConfig(epochs=1, batch_size=67)
+        with pytest.raises(NumericError) as raised:
+            TR.train(params, config, bad, volumes[:4], cfg)
+        assert any(entry.name == "_chunk_gradient" for entry in raised.traceback)
+        got = []
+        after = threading.Thread(
+            target=lambda: got.append(TR.train(params, config, volumes, volumes[:4], cfg)))
+        after.start()
+        after.join(timeout=60)
+        assert not after.is_alive()
+        assert math.isfinite(got[0].history[0]["train_loss"])
+
+    def test_second_worker_costs_one_chunk(self, pool_of):
+        """A 128-volume reference batch (4 chunks of 32): a second worker
+        may raise the peak by one chunk in flight, its footprint on a
+        fresh worker (tape, backward arrays, token buffer) and its
+        gradient waiting for the caller."""
+        import tracemalloc
+
+        config = M.ModelConfig()
+        params = M.ModelParams.initialize(config, seed=0)
+        rng = np.random.default_rng(15)
+        volumes = [Volume(f"v{i}", i % config.num_classes,
+                          rng.random(config.input_shape, dtype=np.float32))
+                   for i in range(128)]
+
+        def peak(workers, call):
+            pool_of(workers)
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = peak(1, lambda: TR._workers().submit(
+            TR._chunk_gradient, volumes[:32], params, config).result())
+        gradient = sum(leaf.data.nbytes for leaf in params.tensors())
+        one, two = (peak(n, lambda: self.gradient(params, config, volumes))
+                    for n in (1, 2))
+        assert two - one <= chunk + gradient, ((two - one) / 2**20, chunk / 2**20)
 
 
 class TestWorkerCount:
