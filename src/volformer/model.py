@@ -15,6 +15,7 @@ under the prefix "layers.i.".
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -165,25 +166,39 @@ def count_params(config: ModelConfig) -> int:
 
 
 class ModelParams:
-    """All learnable weights as leaf tensors, in canonical order.
+    """All learnable weights as leaf tensors over one vector.
 
-    `params[name]` is the tensor for a name from parameter_shapes.
+    `flat` is a 1-D array holding every parameter back to back in
+    parameter_shapes order, which is also the VVCK data order, and
+    `params[name]` is a leaf tensor whose data is a view into it. Updates
+    write in place: a tensor whose .data was rebound would leave flat.
     """
 
-    def __init__(self, config: ModelConfig, arrays: dict[str, T.Tensor]):
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
         self.config = config
-        self._arrays = arrays
+        self.flat = flat
+        self._arrays = {}
+        offset = 0
+        for name, shape in parameter_shapes(config):
+            size = math.prod(shape)
+            view = flat[offset : offset + size].reshape(shape)
+            self._arrays[name] = T.Tensor(view, requires_grad=True)
+            offset += size
 
     def __getitem__(self, name: str) -> T.Tensor:
         return self._arrays[name]
 
     @classmethod
-    def _build(cls, config: ModelConfig, dtype, fill) -> "ModelParams":
-        arrays = {}
-        for name, shape in parameter_shapes(config):
-            data = np.asarray(fill(name, shape), dtype=dtype)
-            arrays[name] = T.Tensor(data, requires_grad=True)
-        return cls(config, arrays)
+    def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
+        """All-zero parameters in a new vector; initialize fills them. A
+        model too large to allocate is a ConfigError naming its size."""
+        count = count_params(config)
+        try:
+            flat = np.zeros(count, dtype)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot allocate a model of {count:,} parameters: {exc}") from None
+        return cls(config, flat)
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0, dtype=np.float32,
@@ -196,25 +211,20 @@ class ModelParams:
         sit well above float64 roundoff.
         """
         rng = Rng(seed)
-
-        def fill(name, shape):
+        params = cls.zeros(config, dtype)
+        for name, tensor in params.named_parameters():
             if name.endswith(".gamma"):
-                return np.ones(shape)
-            if name.endswith(("weight", ".w1", ".w2")):
-                n = int(np.prod(shape))
-                return rng.truncated_normal(n, std=weight_std).reshape(shape)
-            return np.zeros(shape)
-
-        return cls._build(config, dtype, fill)
-
-    @classmethod
-    def zeros(cls, config: ModelConfig, dtype=np.float32) -> "ModelParams":
-        return cls._build(config, dtype, lambda name, shape: np.zeros(shape))
+                tensor.data[...] = 1.0
+            elif name.endswith(("weight", ".w1", ".w2")):
+                tensor.data[...] = rng.truncated_normal(
+                    tensor.size, std=weight_std).reshape(tensor.shape)
+        return params
 
     @classmethod
     def from_arrays(cls, config: ModelConfig, mapping: dict[str, np.ndarray],
                     dtype=np.float32) -> "ModelParams":
-        """Build from named arrays, verifying names and shapes.
+        """Build from named arrays, verifying names and shapes; the values
+        are copied into a new vector, so no input is aliased.
 
         Raises CheckpointMismatchError naming the first offending array
         in canonical order.
@@ -232,11 +242,8 @@ class ModelParams:
         for name in mapping:
             if name not in known:
                 raise CheckpointMismatchError(f"unexpected parameter array '{name}'")
-        arrays = {
-            name: T.Tensor(np.asarray(mapping[name], dtype=dtype), requires_grad=True)
-            for name, _ in expected
-        }
-        return cls(config, arrays)
+        return cls(config, np.concatenate(
+            [np.ravel(mapping[name]) for name, _ in expected], dtype=dtype))
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self._arrays.items())
@@ -372,20 +379,13 @@ def tokenize(volumes: np.ndarray, config: ModelConfig,
     return extract_tubelets(volumes, config, out)
 
 
-def logits_from_tokens(tokens: np.ndarray, params: ModelParams, config: ModelConfig,
-                       attn_sink: Optional[list] = None) -> T.Tensor:
-    """Logits [B, classes] for [B, N, token_width] tokens: embed, run the
-    encoder stack, pool, and project."""
-    z = embed(tokens, params, config)
-    z = encode(z, params, config, attn_sink)
-    return classifier_logits(z, params, config)
-
-
 def forward_logits(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
                    attn_sink: Optional[list] = None) -> T.Tensor:
-    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes; each
-    volume is processed independently."""
-    return logits_from_tokens(tokenize(volumes, config), params, config, attn_sink)
+    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes: tokenize,
+    embed, run the encoder stack, pool, and project. Each volume is
+    processed independently."""
+    z = embed(tokenize(volumes, config), params, config)
+    return classifier_logits(encode(z, params, config, attn_sink), params, config)
 
 
 def forward(volumes: np.ndarray, params: ModelParams, config: ModelConfig,

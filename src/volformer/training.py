@@ -18,7 +18,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Volume
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
-                     UsageError, require_field_types)
+                     require_field_types)
 from .rng import Rng, derive_seed
 
 MONITORS = ("val_loss", "val_acc")
@@ -54,41 +54,40 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second-moment accumulators mirroring the parameter arrays."""
+    """First/second-moment vectors in the layout of params.flat, and the
+    number of steps taken."""
 
     def __init__(self, params: M.ModelParams):
-        self.m = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.named_parameters()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.step_count = 0
 
 
-def adam_step(params: M.ModelParams, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update in place.
+def adam_step(params: M.ModelParams, grad: np.ndarray, state: AdamState,
+              cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of params.flat in place, from grad in
+    the same layout.
 
-    All gradients are checked for finiteness before anything mutates, so
-    a bad step aborts cleanly (NumericError) with params and state intact.
+    The gradient is checked for finiteness before anything mutates, so a
+    bad step aborts cleanly (NumericError, naming the first parameter that
+    holds a non-finite entry) with params and state intact.
     """
-    grads = []
-    for name, tensor in params.named_parameters():
-        g = tensor.grad
-        if g is None:
-            raise UsageError(f"no gradient for '{name}'; run backward first")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in '{name}'; step aborted")
-        grads.append((name, tensor, g))
+    finite = np.isfinite(grad)
+    if not finite.all():
+        offset = int(np.argmin(finite))  # the first non-finite entry
+        for name, tensor in params.named_parameters():
+            if offset < tensor.size:
+                raise NumericError(f"non-finite gradient in '{name}'; step aborted")
+            offset -= tensor.size
     t = state.step_count + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, tensor, g in grads:
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        tensor.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m, v = state.m, state.v
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * grad
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (grad * grad)
+    params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
     state.step_count = t
 
 
@@ -100,10 +99,6 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
             raise DimensionError(
                 f"volume {volume.id!r} has shape {volume.voxels.shape}, which does not "
                 f"match configured input {config.input_shape}")
-
-
-def _token_buffer(rows: int, config: M.ModelConfig, dtype) -> np.ndarray:
-    return np.empty((rows, M.token_grid(config).total, config.token_width), dtype)
 
 
 # Every forward and backward runs on at most _CHUNK volumes. At 128 volumes
@@ -204,7 +199,7 @@ def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams, config: M.ModelC
     dtype = params["embed.weight"].dtype
     buf = getattr(_worker, "buf", None)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = _worker.buf = _token_buffer(_SUB, config, dtype)
+        buf = _worker.buf = np.empty(shape, dtype)
     return _chunk_tokens(chunk, config, buf)
 
 
@@ -226,19 +221,18 @@ def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams,
 
 
 def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
-                    config: M.ModelConfig) -> tuple[float, list[np.ndarray]]:
-    """(mean cross-entropy, its gradient for each parameter in canonical
-    order) of one chunk, run on a worker thread.
+                    config: M.ModelConfig) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy, its gradient in the layout of params.flat) of
+    one chunk, run on a worker thread.
 
     The chunk's tape records onto leaf tensors of its own over the
-    parameter arrays, so no two chunks write one .grad. The embed runs
+    parameter vector, so no two chunks write one .grad. The embed runs
     outside the tape and its output z is a leaf: from z's gradient, the
     embed weight's is summed over the sub-blocks of _embed_chunk, each
     tokenized again into the worker's buffer, and the bias and positional
     gradients are sums over rows and volumes.
     """
-    own = M.ModelParams(config, {name: T.Tensor(t.data, requires_grad=True)
-                                 for name, t in params.named_parameters()})
+    own = M.ModelParams(config, params.flat)
     z = T.Tensor(_embed_chunk(chunk, params, config), requires_grad=True)
     with T.Tape() as tape:
         logits = M.classifier_logits(M.encode(z, own, config), own, config)
@@ -252,7 +246,7 @@ def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
         weight += x.reshape(-1, config.token_width).T @ g[s].reshape(-1, config.embed_dim)
     own["embed.bias"].grad = np.ones(len(g_rows), g.dtype) @ g_rows
     own["pos_embed"].grad = g.sum(axis=0)
-    return float(loss.data), [t.grad for t in own.tensors()]
+    return float(loss.data), np.concatenate([t.grad.ravel() for t in own.tensors()])
 
 
 def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,
@@ -299,29 +293,26 @@ def predict_probs(params: M.ModelParams, config: M.ModelConfig,
 
 
 def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
-                    volumes: Sequence[Volume], leaves: Sequence[T.Tensor]) -> float:
-    """Set every leaf's .grad to the gradient of the mean cross-entropy over
-    the batch volumes, and return the summed loss of the batch.
+                    volumes: Sequence[Volume]) -> tuple[float, np.ndarray]:
+    """(summed loss of the batch volumes, gradient of their mean
+    cross-entropy in the layout of params.flat).
 
     The chunks of the batch run on the worker pool (_chunk_gradient), and
-    their gradients are summed in chunk order, each weighted by its share
-    of the batch.
+    their gradient vectors are summed in chunk order, each weighted by its
+    share of the batch; the first chunk's vector is the accumulator.
     """
     chunks = [volumes[s] for s in _chunks(len(volumes))]
     loss_sum = 0.0
     total = None
-    for chunk, (loss, grads) in zip(chunks, _on_workers(_chunk_gradient, chunks,
-                                                        params, config)):
+    for chunk, (loss, grad) in zip(chunks, _on_workers(_chunk_gradient, chunks,
+                                                       params, config)):
         loss_sum += loss * len(chunk)
-        w = len(chunk) / len(volumes)  # 1.0 for a one-chunk batch, which keeps its bits
+        grad *= len(chunk) / len(volumes)  # 1.0 for a one-chunk batch: the same bits
         if total is None:
-            total = [g * w for g in grads]
+            total = grad
         else:
-            for acc, g in zip(total, grads):
-                acc += g * w
-    for leaf, g in zip(leaves, total):
-        leaf.grad = g
-    return loss_sum
+            total += grad
+    return loss_sum, total
 
 
 @dataclass
@@ -360,7 +351,6 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     _check_shapes(train_set, config)
     _check_shapes(val_set, config)
     n = len(train_set)
-    leaves = params.tensors()
     state = AdamState(params)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
     minimize = cfg.monitor == "val_loss"
@@ -374,9 +364,10 @@ def train(params: M.ModelParams, config: M.ModelConfig,
             shuffle_rng.shuffle(shuffled)
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
-                epoch_loss += _batch_gradient(
-                    params, config, shuffled[start : start + cfg.batch_size], leaves)
-                adam_step(params, state, cfg)
+                loss_sum, grad = _batch_gradient(
+                    params, config, shuffled[start : start + cfg.batch_size])
+                epoch_loss += loss_sum
+                adam_step(params, grad, state, cfg)
             val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
             metric = val_loss if minimize else val_acc
             improved = metric < best if minimize else metric > best

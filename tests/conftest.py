@@ -1,12 +1,21 @@
 import json
+import math
 import struct
+import sys
 
-import numpy as np
 import pytest
 
-from volformer import tensor as T
-from volformer.model import ModelConfig, ModelParams, parameter_shapes
-from volformer.rng import Rng
+# Importing the CLI defaults every BLAS pool to one thread before it loads
+# numpy, as the volformer command does: each chunk worker makes its own BLAS
+# calls, and a pool per worker at the default size oversubscribes the cores.
+NUMPY_LOADED_FIRST = "numpy" in sys.modules
+import volformer.cli  # noqa: E402,F401
+
+import numpy as np  # noqa: E402
+
+from volformer import tensor as T  # noqa: E402
+from volformer.model import ModelConfig, ModelParams, parameter_shapes  # noqa: E402
+from volformer.rng import Rng  # noqa: E402
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -33,6 +42,18 @@ def random_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPara
         else:
             mapping[name] = 0.2 * vals
     return ModelParams.from_arrays(config, mapping, dtype=dtype)
+
+
+def split_flat(config: ModelConfig, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Views of a vector in the layout of ModelParams.flat, one per name,
+    cut in parameter_shapes order."""
+    out, offset = {}, 0
+    for name, shape in parameter_shapes(config):
+        size = math.prod(shape)
+        out[name] = vec[offset : offset + size].reshape(shape)
+        offset += size
+    assert offset == vec.size
+    return out
 
 
 def project(t: T.Tensor, c) -> T.Tensor:

@@ -197,6 +197,29 @@ class TestTrainEvalPredict:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"embed_dim": 2_000_000_000, "num_heads": 1},
+        {"slices": 40_000_000_000_000_000_000},
+    ], ids=["embed_dim", "slices"])
+    def test_model_too_large_to_allocate_exits_1(self, synth_env, overrides):
+        """Only sizes of at least 2**62 parameters, which numpy refuses at once."""
+        from volformer.model import ModelConfig, count_params
+
+        count = count_params(ModelConfig(**dict(TINY_MODEL, **overrides)))
+        assert count >= 2**62
+        tmp_path, cfg = synth_env
+        sets = [arg for key, value in overrides.items()
+                for arg in ("--set", f"model.{key}={value}")]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "volformer", "train", "--config",
+                               str(cfg), "--quiet", *sets],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert f"cannot allocate a model of {count:,} parameters" in done.stderr
+        assert not (tmp_path / "history.jsonl").exists()
+
     def test_eval_checkpoint_mismatch_exits_3(self, synth_env, capsys):
         tmp_path, cfg = synth_env
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
@@ -663,6 +686,13 @@ class TestConfigHandling:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.stderr.strip().splitlines()[-1] == "0 ['1']"
+
+    def test_tests_load_numpy_after_the_blas_default(self):
+        """tests/conftest.py imports the CLI before numpy, so the suite runs
+        its chunk workers with one BLAS thread each, as the command does."""
+        import conftest
+
+        assert not conftest.NUMPY_LOADED_FIRST
 
     def test_bad_thread_count_exits_1_from_main(self, monkeypatch, capsys):
         """A bad VOLFORMER_THREADS is a config error from main; importing

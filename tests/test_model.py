@@ -88,6 +88,56 @@ class TestCountParams:
         assert sum(t.size for t in M.ModelParams.zeros(cfg).tensors()) == enumerated
 
 
+class TestParameterLayout:
+    """Every parameter tensor is a view into params.flat, back to back in
+    parameter_shapes order, which is also the VVCK data order."""
+
+    @staticmethod
+    def assert_views_in_order(params, dtype):
+        flat = params.flat
+        assert flat.shape == (M.count_params(params.config),) and flat.dtype == dtype
+        offset = 0
+        for (name, shape), (got, t) in zip(M.parameter_shapes(params.config),
+                                           params.named_parameters(), strict=True):
+            assert got == name and t.shape == shape and t.dtype == dtype, name
+            assert t.data.flags.c_contiguous and np.shares_memory(t.data, flat), name
+            assert t.data.ctypes.data == flat.ctypes.data + offset * flat.itemsize, name
+            offset += t.size
+        assert offset == flat.size
+        flat[:] = np.arange(flat.size)  # a write to flat is seen through every view
+        offset = 0
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.data.ravel(),
+                                          np.arange(offset, offset + t.size), err_msg=name)
+            offset += t.size
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_constructor_gives_views(self, tiny, dtype):
+        arrays = {name: t.data for name, t in random_params(tiny, 3).named_parameters()}
+        for params in (M.ModelParams.initialize(tiny, seed=1, dtype=dtype),
+                       M.ModelParams.zeros(tiny, dtype),
+                       M.ModelParams.from_arrays(tiny, arrays, dtype)):
+            self.assert_views_in_order(params, dtype)
+
+    def test_from_arrays_copies_its_inputs(self, tiny):
+        arrays = {name: t.data.copy()
+                  for name, t in random_params(tiny, 4).named_parameters()}
+        params = M.ModelParams.from_arrays(tiny, arrays, np.float64)
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.data, arrays[name], err_msg=name)
+        kept = params.flat.copy()
+        for a in arrays.values():
+            a += 1.0
+        np.testing.assert_array_equal(params.flat, kept)
+
+    def test_flat_is_the_checkpoint_data_order(self, tiny, tmp_path):
+        params = M.ModelParams.initialize(tiny, seed=5)
+        save_checkpoint(tmp_path / "m.vvck", params)
+        _, arrays = read_raw_checkpoint(tmp_path / "m.vvck")
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in arrays.values()]), params.flat)
+
+
 class TestExtractTubelets:
     def test_enumeration_oracle(self):
         """2x2x2 volume with 1x1x2 tubelets: four tokens in t-major order."""

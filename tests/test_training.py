@@ -11,13 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_params, tiny_config
+from conftest import random_params, split_flat, tiny_config
 from volformer import model as M
 from volformer import tensor as T
 from volformer import training as TR
 from volformer.data import Volume, gen_synthetic
-from volformer.errors import (ConfigError, DataError, DimensionError, NumericError,
-                              UsageError)
+from volformer.errors import ConfigError, DataError, DimensionError, NumericError
 
 
 def synthetic_sets(tmp_path, n_train=4, n_val=2):
@@ -70,67 +69,93 @@ class TestAdam:
 
     def test_zero_gradient_is_noop(self):
         _, params, state = self._setup()
-        before = {n: t.data.copy() for n, t in params.named_parameters()}
-        for t in params.tensors():
-            t.grad = np.zeros_like(t.data)
-        TR.adam_step(params, state, TR.TrainConfig())
-        for name, t in params.named_parameters():
-            assert (t.data == before[name]).all(), name
+        before = params.flat.copy()
+        TR.adam_step(params, np.zeros_like(params.flat), state, TR.TrainConfig())
+        np.testing.assert_array_equal(params.flat, before)
         assert state.step_count == 1
 
     def test_first_step_magnitude(self):
         """With g=1 everywhere the first update is lr/(1 + eps), downhill."""
         _, params, state = self._setup(dtype=np.float64)
-        before = {n: t.data.copy() for n, t in params.named_parameters()}
-        for t in params.tensors():
-            t.grad = np.ones_like(t.data)
+        before = params.flat.copy()
         cfg = TR.TrainConfig(learning_rate=1e-4, epsilon=1e-7)
-        TR.adam_step(params, state, cfg)
-        expected = 1e-4 * 1.0 / (1.0 + 1e-7)
-        for name, t in params.named_parameters():
-            np.testing.assert_allclose(before[name] - t.data, expected,
-                                       rtol=1e-12, err_msg=name)
+        TR.adam_step(params, np.ones_like(params.flat), state, cfg)
+        np.testing.assert_allclose(before - params.flat, 1e-4 * 1.0 / (1.0 + 1e-7),
+                                   rtol=1e-12)
 
     def test_first_step_sign_symmetry(self):
-        _, params, state = self._setup(dtype=np.float64)
-        g = np.random.default_rng(2).standard_normal(params["embed.bias"].shape)
-        for t in params.tensors():
-            t.grad = np.zeros_like(t.data)
-        params["embed.bias"].grad = g.copy()
-        before = params["embed.bias"].data.copy()
-        TR.adam_step(params, state, TR.TrainConfig())
-        delta_pos = params["embed.bias"].data - before
+        """From zero parameters, flipping the gradient flips the update."""
+        cfg = tiny_config(num_layers=1)
+        g = np.random.default_rng(2).standard_normal(M.count_params(cfg))
+        updates = []
+        for sign in (1.0, -1.0):
+            params = M.ModelParams.zeros(cfg, np.float64)
+            TR.adam_step(params, sign * g, TR.AdamState(params), TR.TrainConfig())
+            updates.append(params.flat)
+        assert (updates[0] != 0).all()
+        np.testing.assert_array_equal(updates[0], -updates[1])
 
-        _, params2, state2 = self._setup(dtype=np.float64)
-        for t in params2.tensors():
-            t.grad = np.zeros_like(t.data)
-        params2["embed.bias"].grad = -g
-        before2 = params2["embed.bias"].data.copy()
-        TR.adam_step(params2, state2, TR.TrainConfig())
-        delta_neg = params2["embed.bias"].data - before2
-        np.testing.assert_array_equal(delta_pos, -delta_neg)
+    def test_equals_the_per_array_loop(self):
+        """Five float32 steps on random gradients give the bits of the
+        update written out one parameter array at a time."""
+        cfg, params, state = self._setup()
+        train = TR.TrainConfig(learning_rate=1e-2)
+        arrays = {name: t.data.copy() for name, t in params.named_parameters()}
+        m = {name: np.zeros_like(a) for name, a in arrays.items()}
+        v = {name: np.zeros_like(a) for name, a in arrays.items()}
+        rng = np.random.default_rng(3)
+        for step in range(1, 6):
+            grad = rng.standard_normal(params.flat.size).astype(np.float32)
+            TR.adam_step(params, grad, state, train)
+            bc1 = 1.0 - train.beta1 ** step
+            bc2 = 1.0 - train.beta2 ** step
+            for name, g in split_flat(cfg, grad).items():
+                m[name] *= train.beta1
+                m[name] += (1.0 - train.beta1) * g
+                v[name] *= train.beta2
+                v[name] += (1.0 - train.beta2) * (g * g)
+                m_hat = m[name] / bc1
+                v_hat = v[name] / bc2
+                arrays[name] -= train.learning_rate * m_hat / (np.sqrt(v_hat) + train.epsilon)
+        assert state.step_count == 5
+        for name, t in params.named_parameters():
+            np.testing.assert_array_equal(t.data, arrays[name], err_msg=name)
+            np.testing.assert_array_equal(split_flat(cfg, state.m)[name], m[name])
+            np.testing.assert_array_equal(split_flat(cfg, state.v)[name], v[name])
+
+    def nonfinite_step(self, name, bad, index):
+        """A step, then a step whose gradient holds `bad` at entry `index`
+        of the slice of `name`: it must name that parameter and leave the parameters and
+        the whole Adam state as they were."""
+        cfg, params, state = self._setup()
+        rng = np.random.default_rng(4)
+        TR.adam_step(params, rng.standard_normal(params.flat.size).astype(np.float32),
+                     state, TR.TrainConfig())
+        before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+        grad = rng.standard_normal(params.flat.size).astype(np.float32)
+        split_flat(cfg, grad)[name].flat[index] = bad
+        with pytest.raises(NumericError, match=f"'{name}'"):
+            TR.adam_step(params, grad, state, TR.TrainConfig())
+        assert state.step_count == 1
+        for old, now in zip(before, (params.flat, state.m, state.v)):
+            np.testing.assert_array_equal(now, old)
 
     def test_nonfinite_gradient_aborts_without_mutation(self):
-        _, params, state = self._setup()
-        before = {n: t.data.copy() for n, t in params.named_parameters()}
-        for t in params.tensors():
-            t.grad = np.zeros_like(t.data)
-        params["head.bias"].grad = np.array([np.nan, 0.0, 0.0], dtype=np.float32)
-        with pytest.raises(NumericError):
-            TR.adam_step(params, state, TR.TrainConfig())
-        assert state.step_count == 0
-        for name, t in params.named_parameters():
-            assert (t.data == before[name]).all()
+        self.nonfinite_step("head.bias", np.nan, 0)
 
-    def test_missing_gradient_rejected(self):
-        _, params, state = self._setup()
-        with pytest.raises(UsageError):
-            TR.adam_step(params, state, TR.TrainConfig())
+    @pytest.mark.parametrize("name, bad, index", [("embed.weight", np.inf, -1),
+                                                  ("layers.0.attn.k_bias", -np.inf, 0),
+                                                  ("head.bias", np.nan, -1)])
+    def test_nonfinite_entry_names_its_parameter(self, name, bad, index):
+        self.nonfinite_step(name, bad, index)
 
     def test_state_scalar_count(self):
-        _, params, state = self._setup()
-        moments = list(state.m.values()) + list(state.v.values())
-        assert sum(a.size for a in moments) == 2 * sum(t.size for t in params.tensors())
+        """The moments are two vectors in the layout of params.flat."""
+        cfg, params, state = self._setup()
+        for moment in (state.m, state.v):
+            assert moment.shape == (M.count_params(cfg),)
+            assert moment.dtype == params.flat.dtype
+            assert not np.shares_memory(moment, params.flat)
 
 
 class TestTrainLoop:
@@ -232,9 +257,9 @@ class TestTrainLoop:
         seen = []
         original = TR.adam_step
 
-        def spy(params, state, cfg_):
+        def spy(params, grad, state, cfg_):
             seen.append(state.step_count)
-            return original(params, state, cfg_)
+            return original(params, grad, state, cfg_)
 
         TR.adam_step, spy_token = spy, None
         try:
@@ -289,17 +314,14 @@ class TestMicroBatches:
         voxels = rng.standard_normal((n,) + config.input_shape)
         labels = rng.integers(0, config.num_classes, size=n)
         idx = rng.permutation(n)
-        tokens = M.tokenize(voxels[idx], config)  # float64
-        leaves = params.tensors()
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
-                M.logits_from_tokens(tokens, params, config), labels[idx])
-        tape.backward(loss, leaves=leaves)
-        whole = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+                M.forward_logits(voxels[idx], params, config), labels[idx])
+        tape.backward(loss, leaves=params.tensors())
+        whole = np.concatenate([leaf.grad.ravel() for leaf in params.tensors()])
 
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in idx]
-        loss_sum = TR._batch_gradient(params, config, volumes, leaves)
-        chunked = np.concatenate([leaf.grad.ravel() for leaf in leaves])
+        loss_sum, chunked = TR._batch_gradient(params, config, volumes)
         assert len(TR._chunks(n)) == 3
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
         assert loss_sum / n == pytest.approx(float(loss.data), rel=1e-12)
@@ -319,10 +341,12 @@ class TestMicroBatches:
                 M.forward_logits(voxels, params, config), labels)
         tape.backward(loss, leaves=params.tensors())
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
-        chunk_loss, grads = TR._chunk_gradient(volumes, params, config)
+        chunk_loss, grad = TR._chunk_gradient(volumes, params, config)
         assert len(TR._chunks(n, TR._SUB)) == 3
         assert chunk_loss == float(loss.data)
-        for (name, leaf), got in zip(params.named_parameters(), grads):
+        assert grad.shape == params.flat.shape
+        for (name, leaf), got in zip(params.named_parameters(),
+                                     split_flat(config, grad).values()):
             if name in ("embed.weight", "embed.bias", "pos_embed"):
                 err = np.linalg.norm(got - leaf.grad) / np.linalg.norm(leaf.grad)
                 assert err <= 1e-12, (name, err)
@@ -355,7 +379,7 @@ class TestInputPath:
         rng = np.random.default_rng(8)
         volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
                    for i in range(5)]
-        buf = TR._token_buffer(7, config, np.float32)
+        buf = np.empty((7, M.token_grid(config).total, config.token_width), np.float32)
         [(_, got)] = TR._chunk_tokens(volumes, config, buf)
         stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
         np.testing.assert_array_equal(got, M.tokenize(stacked, config))
@@ -548,16 +572,10 @@ class TestTrainingWorkers:
     """Training chunks run on the worker pool; the summed gradient must not
     depend on the number of workers or the order in which chunks finish."""
 
-    @staticmethod
-    def gradient(params, config, volumes):
-        leaves = params.tensors()
-        loss_sum = TR._batch_gradient(params, config, volumes, leaves)
-        return loss_sum, [leaf.grad.copy() for leaf in leaves]
-
     def test_bit_identical_at_one_and_two_workers(self, pool_of, monkeypatch):
         config, params, volumes = worker_sets()  # chunks of 24, 24 and 19
         pool_of(1)
-        loss1, grads1 = self.gradient(params, config, volumes)
+        loss1, grad1 = TR._batch_gradient(params, config, volumes)
         pool_of(2)
         real = TR._chunk_gradient
         finished = []
@@ -570,11 +588,10 @@ class TestTrainingWorkers:
             return out
 
         monkeypatch.setattr(TR, "_chunk_gradient", first_chunk_last)
-        loss2, grads2 = self.gradient(params, config, volumes)
+        loss2, grad2 = TR._batch_gradient(params, config, volumes)
         assert finished == ["v24", "v48", "v0"]
         assert loss2 == loss1
-        for got, want in zip(grads2, grads1):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(grad2, grad1)
 
     def test_more_workers_than_cores(self, pool_of):
         """Six chunks on four workers with a short switch interval: no chunk
@@ -582,17 +599,16 @@ class TestTrainingWorkers:
         config, params, volumes = worker_sets(41)
         volumes = volumes * 4  # 164 volumes: 6 chunks of 28 or 24
         pool_of(1)
-        want = self.gradient(params, config, volumes)
+        want = TR._batch_gradient(params, config, volumes)
         pool_of(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = self.gradient(params, config, volumes)
+            got = TR._batch_gradient(params, config, volumes)
         finally:
             sys.setswitchinterval(interval)
         assert got[0] == want[0]
-        for have, expected in zip(got[1], want[1]):
-            np.testing.assert_array_equal(have, expected)
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_worker_error_reaches_the_caller_and_the_pool_survives(self, pool_of):
         config, params, volumes = worker_sets()
@@ -637,8 +653,8 @@ class TestTrainingWorkers:
 
         chunk = peak(1, lambda: TR._workers().submit(
             TR._chunk_gradient, volumes[:32], params, config).result())
-        gradient = sum(leaf.data.nbytes for leaf in params.tensors())
-        one, two = (peak(n, lambda: self.gradient(params, config, volumes))
+        gradient = params.flat.nbytes
+        one, two = (peak(n, lambda: TR._batch_gradient(params, config, volumes))
                     for n in (1, 2))
         assert two - one <= chunk + gradient, ((two - one) / 2**20, chunk / 2**20)
 
