@@ -331,9 +331,12 @@ def _split_manifest_if_needed(run: RunConfig, manifest, args):
 def _train_fresh(run: RunConfig, manifest, train_entries, val_entries, stream_ids,
                  **outputs):
     """Train parameters initialized from derive_seed(train.seed, *stream_ids)
-    on the given manifest entries; `outputs` go to training.train."""
+    on the given manifest entries; `outputs` go to training.train. The
+    checkpoint directory is made once the parameters exist, so a model too
+    large to allocate leaves none behind."""
     params = model.ModelParams.initialize(
         run.model, seed=rng.derive_seed(run.train.seed, *stream_ids))
+    os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
     return training.train(params, run.model, manifest.load_volumes(train_entries),
                           manifest.load_volumes(val_entries), run.train, **outputs)
 
@@ -344,7 +347,6 @@ def cmd_train(run: RunConfig, args) -> int:
                      checkpoint_dir=run.paths.checkpoint_dir)
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
     train_entries, val_entries = manifest.subset("train"), manifest.subset("val")
-    os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
     _progress(args, f"training on {len(train_entries)} volumes, validating on "
                     f"{len(val_entries)} ({model.count_params(run.model)} parameters)")
 
@@ -408,7 +410,6 @@ def cmd_cv(run: RunConfig, args) -> int:
     rep_folds = [data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep),
                                  by_subject=run.split.stratify_by == "subject")
                  for rep in rep_indices]
-    os.makedirs(run.paths.checkpoint_dir, exist_ok=True)
 
     inner_val_fraction = run.split.val_fraction / (
         run.split.train_fraction + run.split.val_fraction)

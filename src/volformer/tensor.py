@@ -126,11 +126,12 @@ class Tape:
                 if key not in produced:
                     leaf_tensors[key] = tensor
         for key, tensor in leaf_tensors.items():
-            tensor.grad = grads.get(key, np.zeros_like(tensor.data))
+            tensor.grad = grads[key]  # a leaf is never an output, so never popped
         if leaves is not None:
             for tensor in leaves:
                 if id(tensor) not in leaf_tensors:
-                    tensor.grad = grads.get(id(tensor), np.zeros_like(tensor.data))
+                    g = grads.get(id(tensor))
+                    tensor.grad = np.zeros_like(tensor.data) if g is None else g
 
 
 def _active_tape() -> Optional[Tape]:

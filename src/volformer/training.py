@@ -101,30 +101,51 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
                 f"match configured input {config.input_shape}")
 
 
-# Every forward and backward runs on at most _CHUNK volumes. At 128 volumes
-# each attention-weight array [128, 16, 16, 16] float32 is 2 MB, a whole
-# per-core L2 of a 2-core Xeon, and every elementwise pass over it misses the
-# cache: there (OpenBLAS, one BLAS thread) a 128-volume reference forward took
-# 261-269 ms as one pass and 177-184 ms in chunks of 32.
+# Every training forward and backward runs on at most _CHUNK volumes: a
+# chunk's tape holds its activations until its backward, and the cut sets
+# the low bits of the summed gradient, so both pin it at 32.
 _CHUNK = 32
+# An inference pass runs in chunks of at most _INFER_CHUNK volumes, which
+# bounds a worker's transient arrays at about 34 KB per volume (4.3 MB for
+# 128 reference volumes). A _chunk_logits call on 32, 64, 100, 128 and 200
+# reference volumes (one BLAS thread, 2-core host with 2 MB of L2 per core)
+# cost 0.95-0.99, 0.89-0.95, 0.84-0.87, 0.84 and 0.86-0.87 ms per volume
+# on one thread, and 0.65-0.71, 0.52-0.57, 0.49-0.51, 0.48-0.50 and
+# 0.47-0.48 ms with two threads at once: most encoder ops on 32 volumes are
+# too short to gain from the time numpy releases the GIL.
+_INFER_CHUNK = 128
 # A worker tokenizes and embeds its chunk _SUB volumes at a time, through a
 # token buffer of its own: 4 MB at the reference config, where
 # _CHUNK-volume buffers for 2 workers raised eval's peak RSS from 158 to 175 MB.
 _SUB = 8
 
 
-def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
-    """Cut n rows into ceil(n / size) nearly equal slices of at most size.
+def _cut(n: int, k: int) -> list[slice]:
+    """Cut n rows into k nearly equal slices.
 
     Every boundary falls on a multiple of 4: OpenBLAS's GEMM results depend
     on a row's position mod 4, so each row keeps the bits of one pass over
-    all n. The last slice holds more than n / k - 4 rows for k >= 2
-    slices, so at size _CHUNK none is a single row (which numpy sends to
-    GEMV) unless n == 1.
+    all n. A slice holds at most 4 * ceil(n / 4k) rows, and the last more
+    than n / k - 4.
     """
-    k = -(-n // size)
     bounds = [4 * -(-i * n // (4 * k)) for i in range(k)] + [n]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
+    """Cut n rows into ceil(n / size) slices by _cut, each of at most size
+    when size is a multiple of 4. At size _CHUNK none is a single row
+    (which numpy sends to GEMV) unless n == 1."""
+    return _cut(n, -(-n // size))
+
+
+def _inference_chunks(n: int, workers: int) -> list[slice]:
+    """Cut an inference pass over n volumes into a multiple of workers
+    chunks of at most _INFER_CHUNK volumes, but into no more than one chunk
+    per 8 volumes, so none holds fewer than 5 unless n < 16. The count is a
+    multiple of workers whenever n >= 8 * workers."""
+    k = workers * -(-n // (workers * _INFER_CHUNK))
+    return _cut(n, min(k, max(1, n // 8)))
 
 
 def _chunk_tokens(volumes: Sequence[Volume], config: M.ModelConfig, buf: np.ndarray):
@@ -253,19 +274,28 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
              batch_size: int, what: str):
     """(batch, logits) for each batch of batch_size volumes.
 
-    Every chunk of every batch goes to the worker pool up front, and each
-    batch's logits are gathered in chunk order, so they are bit-identical
-    to one forward_logits pass over the batch at any worker count.
+    The chunks are cut by _inference_chunks for the pool's thread count,
+    from the whole list when batch_size is a multiple of 4 and from each
+    batch on its own when it is not. All of them go to the pool up front,
+    and the logits are gathered in chunk order, then sliced into batches.
+    Either way every chunk boundary falls on a multiple of 4 volumes from
+    the start of its batch (see _cut), and a batch whose size is not such
+    a multiple ends a chunk, so every volume's rows sit where one pass
+    over its batch puts them: the logits are bit-identical to one
+    forward_logits pass over each batch at any worker count.
     """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     _check_shapes(volumes, config)
-    batches = [volumes[start : start + batch_size]
-               for start in range(0, len(volumes), batch_size)]
-    logits = _on_workers(_chunk_logits, [batch[s] for batch in batches
-                                         for s in _chunks(len(batch))], params, config)
-    for batch in batches:
-        yield batch, T.Tensor(np.concatenate([next(logits) for _ in _chunks(len(batch))]))
+    span = len(volumes) if batch_size % 4 == 0 else batch_size
+    groups = [volumes[start : start + span] for start in range(0, len(volumes), span)]
+    workers = _workers()._max_workers
+    logits = np.concatenate(list(_on_workers(
+        _chunk_logits, [group[s] for group in groups
+                        for s in _inference_chunks(len(group), workers)], params, config)))
+    for start in range(0, len(volumes), batch_size):
+        yield (volumes[start : start + batch_size],
+               T.Tensor(logits[start : start + batch_size]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],

@@ -220,6 +220,16 @@ class TestTrainEvalPredict:
         assert f"cannot allocate a model of {count:,} parameters" in done.stderr
         assert not (tmp_path / "history.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_model_too_large_leaves_no_checkpoint_dir(self, synth_env, capsys, command):
+        """A model of at least 2**62 parameters, which numpy refuses at once,
+        stops the command before it makes paths.checkpoint_dir."""
+        tmp_path, cfg = synth_env
+        assert main([command, "--config", str(cfg), "--quiet",
+                     "--set", "model.slices=40000000000000000000"]) == 1
+        assert "cannot allocate a model of" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_eval_checkpoint_mismatch_exits_3(self, synth_env, capsys):
         tmp_path, cfg = synth_env
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0

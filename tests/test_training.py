@@ -271,9 +271,22 @@ class TestTrainLoop:
         assert len(seen) == 3
 
 
+def reference_volumes():
+    """Reference parameters, and 200 random volumes at the reference config
+    with their stacked voxels and labels."""
+    config = M.ModelConfig()
+    params = M.ModelParams.initialize(config, seed=0)
+    rng = np.random.default_rng(5)
+    voxels = rng.random((200,) + config.input_shape, dtype=np.float32)
+    labels = rng.integers(0, config.num_classes, size=200)
+    volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(200)]
+    return config, params, voxels, labels, volumes
+
+
 class TestMicroBatches:
-    """A batch runs as chunks of at most TR._CHUNK volumes; the results must
-    match one pass over the whole batch."""
+    """A training batch runs as chunks of at most TR._CHUNK volumes, an
+    inference pass as chunks of at most TR._INFER_CHUNK; the results must
+    match one pass over each batch."""
 
     def test_chunks_cover_the_batch(self):
         for n in range(1, 301):
@@ -286,15 +299,28 @@ class TestMicroBatches:
             assert n == 1 or min(sizes) > 1, n
             assert all(size % 4 == 0 for size in sizes[:-1]), n
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_inference_chunks_follow_the_worker_count(self, workers):
+        for n in range(1, 401):
+            chunks = TR._inference_chunks(n, workers)
+            covered = [i for s in chunks for i in range(n)[s]]
+            assert covered == list(range(n)), n
+            sizes = [s.stop - s.start for s in chunks]
+            assert all(s.start % 4 == 0 for s in chunks), n
+            assert max(sizes) <= TR._INFER_CHUNK, n
+            assert n < 16 or min(sizes) >= 5, n
+            assert n < 8 * workers or len(chunks) % workers == 0, n
+
+    def test_inference_chunks_cut_the_reference_pass(self):
+        assert [(s.start, s.stop) for s in TR._inference_chunks(200, 2)] == [
+            (0, 100), (100, 200)]
+        assert [s.stop - s.start for s in TR._inference_chunks(300, 2)] == [76, 76, 76, 72]
+        assert [s.stop - s.start for s in TR._inference_chunks(9, 2)] == [9]
+
     def test_inference_bit_identical_to_one_pass(self):
         """At the reference config, predict_probs and evaluate over one
         batch of n volumes equal one forward_logits pass bit for bit."""
-        config = M.ModelConfig()
-        params = M.ModelParams.initialize(config, seed=0)
-        rng = np.random.default_rng(5)
-        voxels = rng.random((200,) + config.input_shape, dtype=np.float32)
-        labels = rng.integers(0, config.num_classes, size=200)
-        volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(200)]
+        config, params, voxels, labels, volumes = reference_volumes()
         for n in (1, 3, 33, 67, 72, 97, 128, 200):
             logits = M.forward_logits(voxels[:n], params, config)
             probs = T.softmax(logits).data
@@ -303,6 +329,30 @@ class TestMicroBatches:
             loss = float(T.softmax_cross_entropy(logits, labels[:n]).data)
             acc = int((M.predict_classes(logits.data) == labels[:n]).sum()) / n
             assert TR.evaluate(params, config, volumes[:n], n) == (loss * n / n, acc), n
+
+    @pytest.mark.parametrize("batch_size", [128, 77])
+    def test_chunks_across_batches_bit_identical_to_batch_passes(self, pool_of,
+                                                                 batch_size):
+        """200 reference volumes: predict_probs and evaluate equal one
+        forward_logits pass per batch bit for bit, at 1, 2 and 3 workers.
+        At batch 128 the chunks cross the batch boundary; at 77 a batch's
+        last volumes are the tail rows of its own GEMMs."""
+        config, params, voxels, labels, volumes = reference_volumes()
+        probs, loss_sum, correct = [], 0.0, 0
+        for start in range(0, 200, batch_size):
+            logits = M.forward_logits(voxels[start : start + batch_size], params, config)
+            batch_labels = labels[start : start + batch_size]
+            probs.append(T.softmax(logits).data)
+            loss_sum += (float(T.softmax_cross_entropy(logits, batch_labels).data)
+                         * len(batch_labels))
+            correct += int((M.predict_classes(logits.data) == batch_labels).sum())
+        for workers in (1, 2, 3):
+            pool_of(workers)
+            np.testing.assert_array_equal(
+                TR.predict_probs(params, config, volumes, batch_size),
+                np.concatenate(probs), err_msg=f"workers={workers}")
+            assert (TR.evaluate(params, config, volumes, batch_size)
+                    == (loss_sum / 200, correct / 200)), workers
 
     def test_gradient_matches_one_tape(self):
         """67 volumes run as chunks of 24, 24 and 19, so a weight that
@@ -504,7 +554,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(TR, "_chunk_logits", first_chunk_last)
         probs2, eval2 = self.run_both(config, params, volumes)
-        assert len(finished) == 6 and finished[2::3] == ["v0", "v0"]
+        # each call cuts the 67 volumes into chunks of 36 and 31
+        assert len(finished) == 4 and finished[1::2] == ["v0", "v0"]
         np.testing.assert_array_equal(probs2, probs1)
         assert eval2 == eval1
 
