@@ -105,7 +105,7 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
 # chunk's tape holds its activations until its backward, and the cut sets
 # the low bits of the summed gradient, so both pin it at 32.
 _CHUNK = 32
-# An inference pass runs in chunks of at most _INFER_CHUNK volumes, which
+# An inference batch runs in chunks of at most _INFER_CHUNK volumes, which
 # bounds a worker's transient arrays at about 34 KB per volume (4.3 MB for
 # 128 reference volumes). A _chunk_logits call on 32, 64, 100, 128 and 200
 # reference volumes (one BLAS thread, 2-core host with 2 MB of L2 per core)
@@ -140,7 +140,7 @@ def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
 
 
 def _inference_chunks(n: int, workers: int) -> list[slice]:
-    """Cut an inference pass over n volumes into a multiple of workers
+    """Cut an inference batch of n volumes into a multiple of workers
     chunks of at most _INFER_CHUNK volumes, but into no more than one chunk
     per 8 volumes, so none holds fewer than 5 unless n < 16. The count is a
     multiple of workers whenever n >= 8 * workers."""
@@ -178,6 +178,7 @@ def worker_count() -> int:
 
 
 _pool: Optional[ThreadPoolExecutor] = None
+_pool_size = 0  # _pool's thread count, which sets the inference cut
 _pool_lock = threading.Lock()
 _worker = threading.local()  # .buf: the calling worker's token buffer
 
@@ -186,10 +187,11 @@ def _workers() -> ThreadPoolExecutor:
     """The chunk worker pool, started on first use with worker_count()
     threads. numpy releases the GIL inside BLAS and long ufunc loops, so
     workers with one BLAS thread each keep that many cores busy."""
-    global _pool
+    global _pool, _pool_size
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(worker_count(), thread_name_prefix="volformer")
+            _pool_size = worker_count()
+            _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="volformer")
         return _pool
 
 
@@ -274,28 +276,25 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
              batch_size: int, what: str):
     """(batch, logits) for each batch of batch_size volumes.
 
-    The chunks are cut by _inference_chunks for the pool's thread count,
-    from the whole list when batch_size is a multiple of 4 and from each
-    batch on its own when it is not. All of them go to the pool up front,
-    and the logits are gathered in chunk order, then sliced into batches.
-    Either way every chunk boundary falls on a multiple of 4 volumes from
-    the start of its batch (see _cut), and a batch whose size is not such
-    a multiple ends a chunk, so every volume's rows sit where one pass
-    over its batch puts them: the logits are bit-identical to one
-    forward_logits pass over each batch at any worker count.
+    Each batch is cut on its own by _inference_chunks for the pool's
+    thread count, so every chunk boundary falls on a multiple of 4 volumes
+    from the start of its batch (see _cut), the batch's last chunk ends
+    where the batch does, and a 1-volume batch is a 1-volume chunk. Every
+    chunk of every batch goes to the worker pool up front, and each batch's
+    logits are gathered in chunk order, so they are bit-identical to one
+    forward_logits pass over the batch at any worker count.
     """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     _check_shapes(volumes, config)
-    span = len(volumes) if batch_size % 4 == 0 else batch_size
-    groups = [volumes[start : start + span] for start in range(0, len(volumes), span)]
-    workers = _workers()._max_workers
-    logits = np.concatenate(list(_on_workers(
-        _chunk_logits, [group[s] for group in groups
-                        for s in _inference_chunks(len(group), workers)], params, config)))
-    for start in range(0, len(volumes), batch_size):
-        yield (volumes[start : start + batch_size],
-               T.Tensor(logits[start : start + batch_size]))
+    batches = [volumes[start : start + batch_size]
+               for start in range(0, len(volumes), batch_size)]
+    _workers()  # starts the pool, which sets _pool_size
+    cuts = [_inference_chunks(len(batch), _pool_size) for batch in batches]
+    logits = _on_workers(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
+                                         for s in cut], params, config)
+    for batch, cut in zip(batches, cuts):
+        yield batch, T.Tensor(np.concatenate([next(logits) for _ in cut]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],

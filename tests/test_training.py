@@ -271,21 +271,21 @@ class TestTrainLoop:
         assert len(seen) == 3
 
 
-def reference_volumes():
-    """Reference parameters, and 200 random volumes at the reference config
+def reference_volumes(n=200):
+    """Reference parameters, and n random volumes at the reference config
     with their stacked voxels and labels."""
     config = M.ModelConfig()
     params = M.ModelParams.initialize(config, seed=0)
     rng = np.random.default_rng(5)
-    voxels = rng.random((200,) + config.input_shape, dtype=np.float32)
-    labels = rng.integers(0, config.num_classes, size=200)
-    volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(200)]
+    voxels = rng.random((n,) + config.input_shape, dtype=np.float32)
+    labels = rng.integers(0, config.num_classes, size=n)
+    volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
     return config, params, voxels, labels, volumes
 
 
 class TestMicroBatches:
     """A training batch runs as chunks of at most TR._CHUNK volumes, an
-    inference pass as chunks of at most TR._INFER_CHUNK; the results must
+    inference batch as chunks of at most TR._INFER_CHUNK; the results must
     match one pass over each batch."""
 
     def test_chunks_cover_the_batch(self):
@@ -311,18 +311,24 @@ class TestMicroBatches:
             assert n < 16 or min(sizes) >= 5, n
             assert n < 8 * workers or len(chunks) % workers == 0, n
 
-    def test_inference_chunks_cut_the_reference_pass(self):
-        assert [(s.start, s.stop) for s in TR._inference_chunks(200, 2)] == [
-            (0, 100), (100, 200)]
+    def test_inference_chunks_cut_the_reference_batches(self):
+        """200 volumes at batch 128 on 2 workers: batches of 128 and 72."""
+        assert [(s.start, s.stop) for s in TR._inference_chunks(128, 2)] == [
+            (0, 64), (64, 128)]
+        assert [(s.start, s.stop) for s in TR._inference_chunks(72, 2)] == [
+            (0, 36), (36, 72)]
         assert [s.stop - s.start for s in TR._inference_chunks(300, 2)] == [76, 76, 76, 72]
         assert [s.stop - s.start for s in TR._inference_chunks(9, 2)] == [9]
 
     def test_inference_bit_identical_to_one_pass(self):
-        """At the reference config, predict_probs and evaluate over one
-        batch of n volumes equal one forward_logits pass bit for bit."""
+        """At the reference config, the logits, predict_probs and evaluate
+        over one batch of n volumes equal one forward_logits pass bit for
+        bit."""
         config, params, voxels, labels, volumes = reference_volumes()
         for n in (1, 3, 33, 67, 72, 97, 128, 200):
             logits = M.forward_logits(voxels[:n], params, config)
+            [(_, chunked)] = TR._batches(volumes[:n], params, config, n, "predict")
+            np.testing.assert_array_equal(chunked.data, logits.data, err_msg=f"n={n}")
             probs = T.softmax(logits).data
             np.testing.assert_array_equal(
                 TR.predict_probs(params, config, volumes[:n], n), probs, err_msg=f"n={n}")
@@ -330,17 +336,22 @@ class TestMicroBatches:
             acc = int((M.predict_classes(logits.data) == labels[:n]).sum()) / n
             assert TR.evaluate(params, config, volumes[:n], n) == (loss * n / n, acc), n
 
-    @pytest.mark.parametrize("batch_size", [128, 77])
-    def test_chunks_across_batches_bit_identical_to_batch_passes(self, pool_of,
-                                                                 batch_size):
-        """200 reference volumes: predict_probs and evaluate equal one
-        forward_logits pass per batch bit for bit, at 1, 2 and 3 workers.
-        At batch 128 the chunks cross the batch boundary; at 77 a batch's
-        last volumes are the tail rows of its own GEMMs."""
-        config, params, voxels, labels, volumes = reference_volumes()
-        probs, loss_sum, correct = [], 0.0, 0
-        for start in range(0, 200, batch_size):
+    @pytest.mark.parametrize("n,batch_size", [(200, 128), (200, 77), (129, 128),
+                                              (257, 128)])
+    def test_several_batches_bit_identical_to_batch_passes(self, pool_of, n,
+                                                           batch_size):
+        """n reference volumes: the logits of each batch, predict_probs and
+        evaluate equal one forward_logits pass per batch bit for bit, at 1,
+        2 and 3 workers. At batch 77 a batch's last volumes are the tail
+        rows of its own GEMMs; at 129 and 257 the last batch is one volume,
+        whose head product one pass over it makes as a GEMV. A last-bit
+        change in a logit can vanish in the softmax and the loss, so the
+        logits are compared too."""
+        config, params, voxels, labels, volumes = reference_volumes(n)
+        passes, probs, loss_sum, correct = [], [], 0.0, 0
+        for start in range(0, n, batch_size):
             logits = M.forward_logits(voxels[start : start + batch_size], params, config)
+            passes.append(logits.data)
             batch_labels = labels[start : start + batch_size]
             probs.append(T.softmax(logits).data)
             loss_sum += (float(T.softmax_cross_entropy(logits, batch_labels).data)
@@ -348,11 +359,16 @@ class TestMicroBatches:
             correct += int((M.predict_classes(logits.data) == batch_labels).sum())
         for workers in (1, 2, 3):
             pool_of(workers)
+            batches = list(TR._batches(volumes, params, config, batch_size, "predict"))
+            assert len(batches) == len(passes)
+            for (_, logits), expected in zip(batches, passes):
+                np.testing.assert_array_equal(logits.data, expected,
+                                              err_msg=f"workers={workers}")
             np.testing.assert_array_equal(
                 TR.predict_probs(params, config, volumes, batch_size),
                 np.concatenate(probs), err_msg=f"workers={workers}")
             assert (TR.evaluate(params, config, volumes, batch_size)
-                    == (loss_sum / 200, correct / 200)), workers
+                    == (loss_sum / n, correct / n)), workers
 
     def test_gradient_matches_one_tape(self):
         """67 volumes run as chunks of 24, 24 and 19, so a weight that
@@ -514,6 +530,7 @@ def pool_of(monkeypatch):
     def install(n):
         made.append(ThreadPoolExecutor(n))
         monkeypatch.setattr(TR, "_pool", made[-1])
+        monkeypatch.setattr(TR, "_pool_size", n)
 
     yield install
     for pool in made:
@@ -554,8 +571,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(TR, "_chunk_logits", first_chunk_last)
         probs2, eval2 = self.run_both(config, params, volumes)
-        # each call cuts the 67 volumes into chunks of 36 and 31
-        assert len(finished) == 4 and finished[1::2] == ["v0", "v0"]
+        # each call cuts its batches of 40 and 27 into chunks of 20, 20, 16, 11
+        assert len(finished) == 8 and finished[3::4] == ["v0", "v0"]
         np.testing.assert_array_equal(probs2, probs1)
         assert eval2 == eval1
 
