@@ -178,31 +178,52 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x [..., n], a weight w [n, m] and a bias b [m].
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
+           addend: Optional[Tensor] = None) -> Tensor:
+    """x @ w + b for x [..., n], a weight w [n, m] and a bias b [m], then
+    either max(., 0) (relu) or + addend, which may broadcast to [..., m].
 
     One tape node: one GEMM over the rows of x, which reads the weight
-    once for all of them, with the bias added in place.
+    once for all of them, with the bias and the epilogue applied in place
+    on its output. The tape keeps that output only: the ReLU's VJP masks
+    by out > 0, which holds exactly where x @ w + b was > 0, so the
+    subgradient at 0 is taken as 0.
     """
-    _check_dtypes(x, w, b)
+    inputs = (x, w, b) if addend is None else (x, w, b, addend)
+    _check_dtypes(*inputs)
     if x.data.ndim < 1 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] \
             or b.shape != w.shape[1:]:
         raise DimensionError(f"linear needs x [..., n], w [n, m] and b [m], got "
                              f"{x.shape}, {w.shape} and {b.shape}")
+    if relu and addend is not None:
+        raise UsageError("linear takes a ReLU or an addend, not both")
     rows = x.data.reshape(-1, w.shape[0])
     out = rows @ w.data
     out += b.data
+    out = out.reshape(x.shape[:-1] + w.shape[1:])
+    if relu:
+        np.maximum(out, 0, out=out)
+    elif addend is not None:
+        try:
+            out += addend.data
+        except ValueError as exc:
+            raise DimensionError(f"linear: cannot add {addend.shape} to its output "
+                                 f"{out.shape}") from exc
 
     def vjp(g):
+        if relu:
+            g = g * (out > 0)
         # an operand that needs no gradient (tokens, constants) gets none:
         # its gradient can be the largest array of the whole backward pass
         g_rows = g.reshape(-1, w.shape[1])
         dx = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
         dw = rows.T @ g_rows if w.requires_grad else None
         db = np.ones(len(g_rows), g.dtype) @ g_rows if b.requires_grad else None
-        return dx, dw, db
+        if addend is None:
+            return dx, dw, db
+        return dx, dw, db, _unbroadcast(g, addend.shape) if addend.requires_grad else None
 
-    return _record(out.reshape(x.shape[:-1] + w.shape[1:]), (x, w, b), vjp)
+    return _record(out, inputs, vjp)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -229,12 +250,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
-
-
-def relu(a: Tensor) -> Tensor:
-    """Elementwise max(x, 0); subgradient at 0 is taken as 0."""
-    mask = a.data > 0
-    return _record(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

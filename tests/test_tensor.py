@@ -107,17 +107,38 @@ class TestForwardSemantics:
         with pytest.raises(ConfigError):
             T.layer_norm(leaf([1.0, 2.0]), leaf([1.0, 1.0]), leaf([0.0, 0.0]), eps=0.0)
 
-    def test_relu_definition_and_idempotence(self):
-        out = T.relu(leaf([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
-        np.testing.assert_array_equal(T.relu(out).data, out.data)
+    def test_linear_relu_definition_and_idempotence(self):
+        def relu(t):
+            return T.linear(t, leaf(np.eye(1)), leaf([0.0]), relu=True)
 
-    def test_relu_gradient_mask(self):
-        x = leaf([-1.0, 2.0])
+        out = relu(leaf([[-1.0], [0.0], [2.0]]))
+        np.testing.assert_array_equal(out.data, [[0.0], [0.0], [2.0]])
+        np.testing.assert_array_equal(relu(out).data, out.data)
+
+    def test_linear_relu_gradient_mask(self):
+        """The subgradient at 0 is taken as 0."""
+        x = leaf([[-1.0], [0.0], [2.0]])
         with T.Tape() as tape:
-            out = project(T.relu(x), np.ones(2))
+            out = project(T.linear(x, leaf(np.eye(1)), leaf([0.0]), relu=True), np.ones(3))
         tape.backward(out)
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
+
+    def test_linear_addend_hand_case(self):
+        """A same-shape addend, and a [2] row broadcast over [2, 1, 2]."""
+        x, w, b = leaf([[[1, 2]], [[3, 4]]]), leaf([[5, 6], [7, 8]]), leaf([1, -1])
+        out = T.linear(x, w, b, addend=leaf([[[1, 1]], [[2, 2]]]))
+        np.testing.assert_array_equal(out.data, [[[21, 22]], [[46, 51]]])
+        out = T.linear(x, w, b, addend=leaf([10, 20]))
+        np.testing.assert_array_equal(out.data, [[[30, 41]], [[54, 69]]])
+
+    def test_linear_epilogue_misuse(self):
+        x, w, b = leaf(np.ones((2, 3))), leaf(np.ones((3, 2))), leaf(np.ones(2))
+        with pytest.raises(UsageError):
+            T.linear(x, w, b, relu=True, addend=leaf(np.ones(2)))
+        with pytest.raises(DimensionError):  # the output cannot grow to the addend
+            T.linear(x, w, b, addend=leaf(np.ones((4, 2, 2))))
+        with pytest.raises(UsageError):
+            T.linear(x, w, b, addend=leaf(np.ones(2), dtype=np.float32))
 
     def test_reduce_mean_value(self):
         assert float(T.reduce_mean(leaf([2.0, 4.0])).data) == 3.0
@@ -268,7 +289,17 @@ class TestFiniteDifferenceOracle:
             np.abs(np.tile(c, 3))),
         "reshape": lambda x, c: project(T.reshape(x, (x.size,)), c.reshape(-1)),
         "reduce_mean_axis": lambda x, c: project(T.reduce_mean(x, axis=0), c[0]),
-        "relu": lambda x, c: project(T.relu(x), c),
+        # the identity weight makes x the pre-activation, which
+        # _away_from_kinks keeps off the ReLU's kink
+        "linear_relu": lambda x, c: project(
+            T.linear(x, T.Tensor(np.eye(4)), T.Tensor(np.zeros(4)), relu=True), c),
+        "linear_addend": lambda x, c: project(
+            T.linear(T.Tensor(c), T.Tensor(c.T @ c), T.Tensor(c[0]), addend=x), c),
+        # x [3, 4] broadcast over a [2, 3, 4] output: its gradient is the
+        # sum over the leading axis, 3c
+        "linear_addend_broadcast": lambda x, c: project(
+            T.linear(T.Tensor(np.stack([c, c[::-1]])), T.Tensor(c.T @ c), T.Tensor(c[1]),
+                     addend=x), np.stack([c, 2 * c])),
         "softmax": lambda x, c: project(T.softmax(x, axis=-1), c),
         "attention_q": _attention_case("q"),
         "attention_k": _attention_case("k"),
