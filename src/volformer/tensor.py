@@ -3,8 +3,10 @@
 numpy supplies storage and BLAS; gradient propagation is done here. Ops
 executed while a Tape is active append (inputs, output, vjp) nodes in
 execution order, which is already a topological order, so a single
-reversed walk backpropagates every node exactly once. Without an active
-tape the same ops run as plain numpy (inference mode).
+reversed walk backpropagates every node exactly once. The gradients stay
+on the tape: no tensor is written, so tapes on several threads may record
+onto the same leaves. Without an active tape the same ops run as plain
+numpy (inference mode).
 
 Float32 is the training precision; float64 is used by the
 finite-difference oracle. Mixing the two in one op is an error so
@@ -25,14 +27,9 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """N-d float array with an optional gradient slot.
+    """N-d float array; requires_grad marks it for Tape.backward."""
 
-    Gradients are written by Tape.backward, which overwrites (never
-    accumulates into) .grad, so repeated backward passes over one tape
-    are bit-identical.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -40,7 +37,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -56,9 +52,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
 
 
 class _Node:
@@ -90,6 +83,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.grads: list[np.ndarray] = []  # set by backward
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -99,39 +93,28 @@ class Tape:
         popped = _TAPE_STACK.tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
 
-    def backward(self, loss: Tensor, leaves: Optional[Sequence[Tensor]] = None) -> None:
-        """Populate .grad on every requires_grad leaf reachable from loss.
-
-        `leaves`, when given, additionally guarantees a gradient (zeros
-        if the tensor did not influence the loss). Gradients are
-        overwritten, so calling backward twice on the same tape yields
-        bit-identical results.
+    def backward(self, loss: Tensor, leaves: Sequence[Tensor]) -> None:
+        """Set self.grads to the gradient of loss with respect to each of
+        leaves, in order: zeros for a leaf the loss does not reach, and
+        twice for a leaf listed twice. No tensor is written, and calling
+        backward twice on the same tape yields bit-identical results.
         """
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        produced = {id(node.output) for node in self.nodes}
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        leaf_tensors: dict[int, Tensor] = {}
         for node in reversed(self.nodes):
             g = grads.pop(id(node.output), None)
             if g is None:
                 continue
-            input_grads = node.vjp(g)
-            for tensor, ig in zip(node.inputs, input_grads):
+            for tensor, ig in zip(node.inputs, node.vjp(g)):
                 if ig is None or not tensor.requires_grad:
                     continue
                 key = id(tensor)
                 acc = grads.get(key)
                 grads[key] = ig if acc is None else acc + ig
-                if key not in produced:
-                    leaf_tensors[key] = tensor
-        for key, tensor in leaf_tensors.items():
-            tensor.grad = grads[key]  # a leaf is never an output, so never popped
-        if leaves is not None:
-            for tensor in leaves:
-                if id(tensor) not in leaf_tensors:
-                    g = grads.get(id(tensor))
-                    tensor.grad = np.zeros_like(tensor.data) if g is None else g
+        # a leaf is never a node's output, so its gradient is never popped
+        self.grads = [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+                      for t in leaves]
 
 
 def _active_tape() -> Optional[Tape]:
@@ -439,8 +422,8 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], point, step: float = 
         out = f(x)
     if out.data.size != 1:
         raise UsageError("finite_difference_check needs a scalar-valued f")
-    tape.backward(out, leaves=[x])
-    analytic = x.grad.copy()
+    tape.backward(out, [x])
+    analytic = tape.grads[0]
 
     numeric = np.empty_like(x.data)
     flat = x.data.reshape(-1)

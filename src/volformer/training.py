@@ -249,28 +249,27 @@ def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
     """(mean cross-entropy, its gradient in the layout of params.flat) of
     one chunk, run on a worker thread.
 
-    The chunk's tape records onto leaf tensors of its own over the
-    parameter vector, so no two chunks write one .grad. The embed runs
-    outside the tape and its output z is a leaf: from z's gradient, the
-    embed weight's is summed over the sub-blocks of _embed_chunk, each
-    tokenized again into the worker's buffer, and the bias and positional
-    gradients are sums over rows and volumes.
+    The chunk's tape records onto the shared parameter tensors and keeps
+    its gradients to itself (tape.grads). The embed runs outside the tape
+    and its output z is a leaf: from z's gradient, the embed weight's is
+    summed over the sub-blocks of _embed_chunk, each tokenized again into
+    the worker's buffer, and the bias and positional gradients are sums
+    over rows and volumes.
     """
-    own = M.ModelParams(config, params.flat)
     z = T.Tensor(_embed_chunk(chunk, params, config), requires_grad=True)
     with T.Tape() as tape:
-        logits = M.classifier_logits(M.encode(z, own, config), own, config)
+        logits = M.classifier_logits(M.encode(z, params, config), params, config)
         loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
-    tape.backward(loss, leaves=[z, *own.tensors()])
+    tape.backward(loss, [z, *params.tensors()])
+    # the embed's three leaves lead parameter_shapes; off the tape, they get zeros
+    g, weight, _, _, *rest = tape.grads
     del tape  # the activations go before the embed gradient is made
-    g = z.grad
     g_rows = g.reshape(-1, config.embed_dim)
-    weight = own["embed.weight"].grad  # zeros: the embed is not on the tape
     for s, x in _sub_blocks(chunk, params, config):
         weight += x.reshape(-1, config.token_width).T @ g[s].reshape(-1, config.embed_dim)
-    own["embed.bias"].grad = np.ones(len(g_rows), g.dtype) @ g_rows
-    own["pos_embed"].grad = g.sum(axis=0)
-    return float(loss.data), np.concatenate([t.grad.ravel() for t in own.tensors()])
+    bias = np.ones(len(g_rows), g.dtype) @ g_rows
+    return float(loss.data), np.concatenate(
+        [t.ravel() for t in (weight, bias, g.sum(axis=0), *rest)])
 
 
 def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,

@@ -145,11 +145,11 @@ def test_criterion_02_whole_model_gradients():
 
         with T.Tape() as tape:
             loss = loss_value()
-        tape.backward(loss, leaves=params.tensors())
+        tape.backward(loss, params.tensors())
 
-        for name, tensor in params.named_parameters():
+        for (name, tensor), grad in zip(params.named_parameters(), tape.grads):
             flat = tensor.data.reshape(-1)
-            analytic = tensor.grad.reshape(-1)
+            analytic = grad.reshape(-1)
             numeric = np.empty_like(analytic)
             for i in range(flat.size):
                 original = flat[i]

@@ -120,8 +120,8 @@ class TestForwardSemantics:
         x = leaf([[-1.0], [0.0], [2.0]])
         with T.Tape() as tape:
             out = project(T.linear(x, leaf(np.eye(1)), leaf([0.0]), relu=True), np.ones(3))
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, [[0.0], [0.0], [1.0]])
+        tape.backward(out, [x])
+        np.testing.assert_array_equal(tape.grads[0], [[0.0], [0.0], [1.0]])
 
     def test_linear_addend_hand_case(self):
         """A same-shape addend, and a [2] row broadcast over [2, 1, 2]."""
@@ -169,8 +169,9 @@ class TestBackward:
         x = leaf(np.random.default_rng(0).standard_normal((3, 4)))
         with T.Tape() as tape:
             out = project(x, np.ones((3, 4)))
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
+        tape.backward(out, [x])
+        [grad] = tape.grads
+        np.testing.assert_array_equal(grad, np.ones((3, 4)))
 
     def test_mean_square_gradient(self):
         """d/dx sum(x^2) = 2x; at x=[1,2] that is [2, 4]."""
@@ -178,32 +179,42 @@ class TestBackward:
         with T.Tape() as tape:
             squares = matmul(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)))
             out = T.reshape(squares, ())
-        tape.backward(out)
-        np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
+        tape.backward(out, [x])
+        [grad] = tape.grads
+        np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-12)
 
     def test_unused_leaf_gets_zeros(self):
+        """One gradient per listed leaf, in the order of the list."""
         x, unused = leaf([1.0, 2.0]), leaf([[3.0]])
         with T.Tape() as tape:
             out = project(x, np.ones(2))
-        tape.backward(out, leaves=[x, unused])
-        np.testing.assert_array_equal(unused.grad, [[0.0]])
+        for leaves, want in (([x, unused], [[1.0, 1.0], [[0.0]]]),
+                             ([unused, x], [[[0.0]], [1.0, 1.0]]),
+                             ([unused, x, unused], [[[0.0]], [1.0, 1.0], [[0.0]]])):
+            tape.backward(out, leaves)
+            assert len(tape.grads) == len(want)
+            for got, expected in zip(tape.grads, want):
+                np.testing.assert_array_equal(got, expected)
 
     def test_non_scalar_loss_rejected(self):
         x = leaf([1.0, 2.0])
         with T.Tape() as tape:
             out = T.add(x, x)
         with pytest.raises(UsageError):
-            tape.backward(out)
+            tape.backward(out, [x])
 
     def test_backward_deterministic_bit_identical(self):
         rng = np.random.default_rng(7)
         x, w = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal((5, 3)))
         with T.Tape() as tape:
             out = T.reduce_mean(T.softmax(matmul(x, w), axis=-1))
-        tape.backward(out, leaves=[x, w])
-        first = (x.grad.copy(), w.grad.copy())
-        tape.backward(out, leaves=[x, w])
-        assert (first[0] == x.grad).all() and (first[1] == w.grad).all()
+        tape.backward(out, [x, w])
+        dx, dw = tape.grads
+        tape.backward(out, [w, x, w])
+        assert len(tape.grads) == 3
+        np.testing.assert_array_equal(tape.grads[0], dw)
+        np.testing.assert_array_equal(tape.grads[1], dx)
+        np.testing.assert_array_equal(tape.grads[2], dw)
 
     def test_matmul_vjp_skips_operands_without_grad(self):
         """linear's VJP gives no gradient to an input that needs none."""
@@ -222,8 +233,9 @@ class TestBackward:
         x = leaf([3.0])
         with T.Tape() as tape:
             out = project(T.add(x, x), [1.0])
-        tape.backward(out)
-        np.testing.assert_allclose(x.grad, [2.0])
+        tape.backward(out, [x, x])
+        for grad in tape.grads:
+            np.testing.assert_allclose(grad, [2.0])
 
     def test_no_recording_without_tape(self):
         x = leaf([1.0])

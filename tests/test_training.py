@@ -1,5 +1,6 @@
 """Tests for loss, Adam, and the gated training loop."""
 
+import importlib.util
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,8 +385,8 @@ class TestMicroBatches:
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
                 M.forward_logits(voxels[idx], params, config), labels[idx])
-        tape.backward(loss, leaves=params.tensors())
-        whole = np.concatenate([leaf.grad.ravel() for leaf in params.tensors()])
+        tape.backward(loss, params.tensors())
+        whole = np.concatenate([grad.ravel() for grad in tape.grads])
 
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in idx]
         loss_sum, chunked = TR._batch_gradient(params, config, volumes)
@@ -405,19 +407,18 @@ class TestMicroBatches:
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
                 M.forward_logits(voxels, params, config), labels)
-        tape.backward(loss, leaves=params.tensors())
+        tape.backward(loss, params.tensors())
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
         chunk_loss, grad = TR._chunk_gradient(volumes, params, config)
         assert len(TR._chunks(n, TR._SUB)) == 3
         assert chunk_loss == float(loss.data)
         assert grad.shape == params.flat.shape
-        for (name, leaf), got in zip(params.named_parameters(),
-                                     split_flat(config, grad).values()):
+        for (name, got), want in zip(split_flat(config, grad).items(), tape.grads):
             if name in ("embed.weight", "embed.bias", "pos_embed"):
-                err = np.linalg.norm(got - leaf.grad) / np.linalg.norm(leaf.grad)
+                err = np.linalg.norm(got - want) / np.linalg.norm(want)
                 assert err <= 1e-12, (name, err)
             else:
-                np.testing.assert_array_equal(got, leaf.grad, err_msg=name)
+                np.testing.assert_array_equal(got, want, err_msg=name)
 
     def test_train_loss_is_the_batch_mean(self, tmp_path):
         """One epoch of one 67-volume batch logs the mean loss over the
@@ -476,7 +477,9 @@ class TestInputPath:
         tokens of the extra volumes: a token copy of the set is as large as
         the set, 64 MB more here. On one worker both sizes keep exactly one
         chunk in flight (the chunk-gradient sums add about 2 MB); on two,
-        the peak depends on how the chunks' lifetimes overlap."""
+        the peak depends on how the chunks' lifetimes overlap. The worker
+        makes its token buffer (4 MB) on its first chunk and keeps it, so a
+        warm-up pass makes it before either measurement."""
         import tracemalloc
 
         pool_of(1)
@@ -485,6 +488,7 @@ class TestInputPath:
         volumes = [Volume(f"v{i}", i % config.num_classes,
                           rng.random(config.input_shape, dtype=np.float32))
                    for i in range(192)]
+        TR.evaluate(M.ModelParams.initialize(config, seed=0), config, volumes[:4])
 
         def peak(train_set):
             params = M.ModelParams.initialize(config, seed=0)
@@ -663,8 +667,9 @@ class TestTrainingWorkers:
         np.testing.assert_array_equal(grad2, grad1)
 
     def test_more_workers_than_cores(self, pool_of):
-        """Six chunks on four workers with a short switch interval: no chunk
-        writes another's gradient."""
+        """Six chunks on four workers with a short switch interval: chunks
+        that record on the same parameter tensors keep their gradients
+        apart."""
         config, params, volumes = worker_sets(41)
         volumes = volumes * 4  # 164 volumes: 6 chunks of 28 or 24
         pool_of(1)
@@ -696,6 +701,29 @@ class TestTrainingWorkers:
         after.join(timeout=60)
         assert not after.is_alive()
         assert math.isfinite(got[0].history[0]["train_loss"])
+
+    def test_benchmark_tracer_keeps_the_bits(self, pool_of):
+        """perfbench/tracing.py wraps every public function and Tape.backward,
+        whose return value its wrapper drops: a traced _batch_gradient gives
+        the untraced loss and gradient bit for bit, and the tracer sees one
+        tape per chunk."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        config, params, volumes = worker_sets()  # chunks of 24, 24 and 19
+        pool_of(1)
+        want = TR._batch_gradient(params, config, volumes)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with tracer.running(1):
+                got = TR._batch_gradient(params, config, volumes)
+        finally:
+            tracer.uninstall()
+        assert got[0] == want[0]
+        np.testing.assert_array_equal(got[1], want[1])
+        assert len(tracer.tape_nodes) == len(TR._chunks(len(volumes))) == 3
 
     def test_second_worker_costs_one_chunk(self, pool_of):
         """A 128-volume reference batch (4 chunks of 32): a second worker
