@@ -125,6 +125,8 @@ def _parse_set_expr(expr: str) -> tuple[str, str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except (ValueError, RecursionError) as exc:  # over 4300 digits, or deep nesting
+        raise ConfigError(f"--set {key}: unreadable JSON value: {exc}") from exc
     return section, name, value
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -105,22 +105,23 @@ def token_grid(config: ModelConfig) -> TokenGrid:
 # ---------------------------------------------------------------------------
 
 
-def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) listing of every learnable array.
+def parameter_shapes(config: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) of every learnable array, made as they are
+    read, so a caller that stops early does no work for the rest.
 
     This order is the checkpoint file order and the order in which the
     initializer consumes random numbers.
     """
     d = config.embed_dim
     hidden = config.ffn_mult * d
-    shapes: list[tuple[str, tuple[int, ...]]] = [
+    yield from [
         ("embed.weight", (config.token_width, d)),
         ("embed.bias", (d,)),
         ("pos_embed", (token_grid(config).total, d)),
     ]
     for i in range(config.num_layers):
         prefix = f"layers.{i}."
-        shapes += [
+        yield from [
             (prefix + "ln1.gamma", (d,)),
             (prefix + "ln1.beta", (d,)),
             (prefix + "attn.q_weight", (d, d)),
@@ -138,13 +139,12 @@ def parameter_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             (prefix + "ffn.w2", (hidden, d)),
             (prefix + "ffn.b2", (d,)),
         ]
-    shapes += [
+    yield from [
         ("final_norm.gamma", (d,)),
         ("final_norm.beta", (d,)),
         ("head.weight", (d, config.num_classes)),
         ("head.bias", (config.num_classes,)),
     ]
-    return shapes
 
 
 def count_params(config: ModelConfig) -> int:
@@ -227,10 +227,12 @@ class ModelParams:
         are copied into a new vector, so no input is aliased.
 
         Raises CheckpointMismatchError naming the first offending array
-        in canonical order.
+        in canonical order. The names are checked as parameter_shapes makes
+        them, so a config that claims more arrays than mapping holds fails
+        at the first missing one, whatever its num_layers.
         """
-        expected = parameter_shapes(config)
-        for name, shape in expected:
+        expected = []
+        for name, shape in parameter_shapes(config):
             if name not in mapping:
                 raise CheckpointMismatchError(f"missing parameter array '{name}'")
             got = tuple(mapping[name].shape)
@@ -238,12 +240,13 @@ class ModelParams:
                 raise CheckpointMismatchError(
                     f"parameter array '{name}' has shape {got}, expected {shape}"
                 )
-        known = {name for name, _ in expected}
+            expected.append(name)
+        known = set(expected)
         for name in mapping:
             if name not in known:
                 raise CheckpointMismatchError(f"unexpected parameter array '{name}'")
         return cls(config, np.concatenate(
-            [np.ravel(mapping[name]) for name, _ in expected], dtype=dtype))
+            [np.ravel(mapping[name]) for name in expected], dtype=dtype))
 
     def named_parameters(self) -> list[tuple[str, T.Tensor]]:
         return list(self._arrays.items())

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,8 +115,8 @@ _CHUNK = 32
 # 0.47-0.48 ms with two threads at once: most encoder ops on 32 volumes are
 # too short to gain from the time numpy releases the GIL.
 _INFER_CHUNK = 128
-# A worker tokenizes and embeds its chunk _SUB volumes at a time, through a
-# token buffer of its own: 4 MB at the reference config, where
+# A chunk is tokenized and embedded _SUB volumes at a time, through one
+# token buffer per _sub_blocks call: 4 MB at the reference config, where
 # _CHUNK-volume buffers for 2 workers raised eval's peak RSS from 158 to 175 MB.
 _SUB = 8
 
@@ -149,18 +149,6 @@ def _inference_chunks(n: int, workers: int) -> list[slice]:
     return _cut(n, min(k, max(1, n // 8)))
 
 
-def _chunk_tokens(volumes: Sequence[Volume], config: M.ModelConfig, buf: np.ndarray):
-    """(s, tokens) for each slice s of volumes cut by _chunks to at most
-    len(buf) volumes: tokens [len(volumes[s]), N, token_width] in the
-    leading rows of the buffer buf, which the next slice overwrites. They
-    are written volume by volume, so no stacked copy of the voxels is made.
-    Shapes must have passed _check_shapes."""
-    for s in _chunks(len(volumes), len(buf)):
-        for i, volume in enumerate(volumes[s]):
-            M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
-        yield s, buf[: s.stop - s.start]
-
-
 def worker_count() -> int:
     """Threads of the chunk worker pool: the cores this process may run
     on, capped by the VOLFORMER_THREADS environment variable when it is
@@ -181,7 +169,6 @@ def worker_count() -> int:
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_size = 0  # _pool's thread count, which sets the inference cut
 _pool_lock = threading.Lock()
-_worker = threading.local()  # .buf: the calling worker's token buffer
 
 
 def _workers() -> ThreadPoolExecutor:
@@ -196,35 +183,18 @@ def _workers() -> ThreadPoolExecutor:
         return _pool
 
 
-def _on_workers(fn, chunks: Sequence[Sequence[Volume]], params: M.ModelParams,
-                config: M.ModelConfig):
-    """fn(chunk, params, config) for each chunk, yielded in chunk order.
-
-    Every chunk goes to the worker pool up front; taking the results in
-    chunk order gives the same bits at any worker count and in any order
-    the chunks finish. The first error a chunk raises is raised here; the
-    chunks not yet started are then dropped, as they are when the caller
-    stops early.
-    """
-    pool = _workers()
-    futures = deque(pool.submit(fn, chunk, params, config) for chunk in chunks)
-    try:
-        while futures:  # a result is dropped here once the caller has it
-            yield futures.popleft().result()
-    finally:
-        for future in futures:
-            future.cancel()
-
-
 def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig):
-    """_chunk_tokens of chunk in sub-blocks of at most _SUB volumes, written
-    into the calling worker's token buffer in the parameters' dtype."""
-    shape = (_SUB, M.token_grid(config).total, config.token_width)
-    dtype = params["embed.weight"].dtype
-    buf = getattr(_worker, "buf", None)
-    if buf is None or buf.shape != shape or buf.dtype != dtype:
-        buf = _worker.buf = np.empty(shape, dtype)
-    return _chunk_tokens(chunk, config, buf)
+    """(s, tokens) for each slice s of chunk cut by _chunks to at most _SUB
+    volumes: tokens [len(chunk[s]), N, token_width] in the parameters'
+    dtype, in the leading rows of one buffer per call, which the next slice
+    overwrites. They are written volume by volume, so no stacked copy of
+    the voxels is made. Shapes must have passed _check_shapes."""
+    buf = np.empty((_SUB, M.token_grid(config).total, config.token_width),
+                   params["embed.weight"].dtype)
+    for s in _chunks(len(chunk), _SUB):
+        for i, volume in enumerate(chunk[s]):
+            M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
+        yield s, buf[: s.stop - s.start]
 
 
 def _embed_chunk(chunk: Sequence[Volume], params: M.ModelParams,
@@ -252,9 +222,8 @@ def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
     The chunk's tape records onto the shared parameter tensors and keeps
     its gradients to itself (tape.grads). The embed runs outside the tape
     and its output z is a leaf: from z's gradient, the embed weight's is
-    summed over the sub-blocks of _embed_chunk, each tokenized again into
-    the worker's buffer, and the bias and positional gradients are sums
-    over rows and volumes.
+    summed over the sub-blocks of _embed_chunk, each tokenized again, and
+    the bias and positional gradients are sums over rows and volumes.
     """
     z = T.Tensor(_embed_chunk(chunk, params, config), requires_grad=True)
     with T.Tape() as tape:
@@ -282,17 +251,19 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
     where the batch does, and a 1-volume batch is a 1-volume chunk. Every
     chunk of every batch goes to the worker pool up front, and each batch's
     logits are gathered in chunk order, so they are bit-identical to one
-    forward_logits pass over the batch at any worker count.
+    forward_logits pass over the batch at any worker count. The first error
+    a chunk raises is raised here, and the chunks not yet started are then
+    dropped, as they are when the caller stops early.
     """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     _check_shapes(volumes, config)
     batches = [volumes[start : start + batch_size]
                for start in range(0, len(volumes), batch_size)]
-    _workers()  # starts the pool, which sets _pool_size
+    pool = _workers()  # started here, it sets _pool_size
     cuts = [_inference_chunks(len(batch), _pool_size) for batch in batches]
-    logits = _on_workers(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
-                                         for s in cut], params, config)
+    logits = pool.map(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
+                                      for s in cut], repeat(params), repeat(config))
     for batch, cut in zip(batches, cuts):
         yield batch, T.Tensor(np.concatenate([next(logits) for _ in cut]))
 
@@ -328,13 +299,15 @@ def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
 
     The chunks of the batch run on the worker pool (_chunk_gradient), and
     their gradient vectors are summed in chunk order, each weighted by its
-    share of the batch; the first chunk's vector is the accumulator.
+    share of the batch; the first chunk's vector is the accumulator. The
+    first error a chunk raises is raised here, and the chunks not yet
+    started are then dropped.
     """
     chunks = [volumes[s] for s in _chunks(len(volumes))]
+    results = _workers().map(_chunk_gradient, chunks, repeat(params), repeat(config))
     loss_sum = 0.0
     total = None
-    for chunk, (loss, grad) in zip(chunks, _on_workers(_chunk_gradient, chunks,
-                                                       params, config)):
+    for chunk, (loss, grad) in zip(chunks, results):
         loss_sum += loss * len(chunk)
         grad *= len(chunk) / len(volumes)  # 1.0 for a one-chunk batch: the same bits
         if total is None:

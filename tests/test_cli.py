@@ -240,6 +240,23 @@ class TestTrainEvalPredict:
         assert code == 3
         assert "embed.weight" in captured.err
 
+    def test_checkpoint_claiming_10_to_the_12_layers_exits_3(self, tmp_path, capsys):
+        """With no model section in the run config, the checkpoint's own
+        config sets the arrays it must hold."""
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        cfg = write_config(tmp_path)
+        doc = json.loads(cfg.read_text())
+        del doc["model"]
+        cfg.write_text(json.dumps(doc))
+        ckpt = tmp_path / "bad.vvck"
+        save_checkpoint(ckpt, ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        set_config_keys(ckpt, num_layers=10**12)
+        assert main(["eval", "--config", str(cfg), "--quiet",
+                     "--checkpoint", str(ckpt)]) == 3
+        assert "missing parameter array 'layers.2.ln1.gamma'" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_2(self, synth_env, capsys):
         tmp_path, cfg = synth_env
         assert main(["eval", "--config", str(cfg), "--quiet"]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -679,6 +680,19 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError, match=f"'embed.weight' at byte {header + 18} "
                                               "has a zero extent or over 32 axes"):
             read_raw_checkpoint(path)
+
+    def test_config_claiming_10_to_the_12_layers_fails_at_once(self, tiny, tmp_path):
+        """Loading stops at the first array the file lacks. Listing every
+        name the config implies first (16 * 10**12 of them) would never
+        end; at num_layers=10**6 it ran out of memory."""
+        path = tmp_path / "many.vvck"
+        save_checkpoint(path, M.ModelParams.zeros(tiny))
+        set_config_keys(path, num_layers=10**12)
+        start = time.monotonic()
+        with pytest.raises(CheckpointMismatchError,
+                           match=r"missing parameter array 'layers\.2\.ln1\.gamma'"):
+            load_checkpoint(path)
+        assert time.monotonic() - start < 5
 
     def test_deeply_nested_embedded_config_rejected(self, tiny, tmp_path):
         path = tmp_path / "deep.vvck"

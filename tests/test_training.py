@@ -442,15 +442,19 @@ class TestInputPath:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tokens_equal_the_stacked_path(self, dtype):
+        """11 volumes make sub-blocks of 8 and 3, in the parameters' dtype."""
         config = M.ModelConfig()
+        params = M.ModelParams.zeros(config)
         rng = np.random.default_rng(8)
         volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
-                   for i in range(5)]
-        buf = np.empty((7, M.token_grid(config).total, config.token_width), np.float32)
-        [(_, got)] = TR._chunk_tokens(volumes, config, buf)
+                   for i in range(11)]
+        # each sub-block's tokens are overwritten by the next, so keep copies
+        got = [(s, x.copy()) for s, x in TR._sub_blocks(volumes, params, config)]
+        assert [s for s, _ in got] == [slice(0, 8), slice(8, 11)]
         stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
-        np.testing.assert_array_equal(got, M.tokenize(stacked, config))
-        assert got.dtype == np.float32 and np.shares_memory(got, buf)
+        np.testing.assert_array_equal(np.concatenate([x for _, x in got]),
+                                      M.tokenize(stacked, config))
+        assert all(x.dtype == np.float32 for _, x in got)
 
     def test_predict_probs_holds_no_copy_of_the_set(self):
         """96 reference volumes are 48 MB; a pass must peak below half that
@@ -477,9 +481,7 @@ class TestInputPath:
         tokens of the extra volumes: a token copy of the set is as large as
         the set, 64 MB more here. On one worker both sizes keep exactly one
         chunk in flight (the chunk-gradient sums add about 2 MB); on two,
-        the peak depends on how the chunks' lifetimes overlap. The worker
-        makes its token buffer (4 MB) on its first chunk and keeps it, so a
-        warm-up pass makes it before either measurement."""
+        the peak depends on how the chunks' lifetimes overlap."""
         import tracemalloc
 
         pool_of(1)
@@ -488,7 +490,6 @@ class TestInputPath:
         volumes = [Volume(f"v{i}", i % config.num_classes,
                           rng.random(config.input_shape, dtype=np.float32))
                    for i in range(192)]
-        TR.evaluate(M.ModelParams.initialize(config, seed=0), config, volumes[:4])
 
         def peak(train_set):
             params = M.ModelParams.initialize(config, seed=0)
@@ -597,8 +598,33 @@ class TestWorkerPool:
         assert not after.is_alive()
         np.testing.assert_array_equal(got[0], TR.predict_probs(params, config, volumes, 40))
 
+    @pytest.mark.parametrize("chunk_fn", ["_chunk_logits", "_chunk_gradient"])
+    def test_an_error_drops_the_chunks_not_started(self, pool_of, monkeypatch, chunk_fn):
+        """Six chunks on one worker: the first raises, and the others would
+        sleep. The error reaches the caller, and at most the chunk the worker
+        took while the caller woke up starts after it: a task queued behind
+        the six finds the rest dropped."""
+        config, params, volumes = worker_sets(192)
+        pool_of(1)
+        started = []
+
+        def chunk_call(chunk, params, config):
+            started.append(chunk[0].id)
+            if chunk[0] is volumes[0]:
+                raise NumericError("chunk 0 failed")
+            time.sleep(0.5)
+
+        monkeypatch.setattr(TR, chunk_fn, chunk_call)
+        with pytest.raises(NumericError, match="chunk 0 failed"):
+            if chunk_fn == "_chunk_logits":
+                TR.predict_probs(params, config, volumes[:48], 8)  # 6 batches of 8
+            else:
+                TR._batch_gradient(params, config, volumes)  # 6 chunks of 32
+        TR._workers().submit(lambda: None).result(timeout=30)
+        assert started[0] == "v0" and len(started) <= 2, started
+
     def test_float64_parameters_keep_their_precision(self):
-        """The workers' token buffer takes the parameters' dtype, so float64
+        """A chunk's token buffer takes the parameters' dtype, so float64
         volumes are not rounded to float32 on their way to the embed."""
         config = tiny_config()
         params = random_params(config, seed=21)  # float64
@@ -727,9 +753,9 @@ class TestTrainingWorkers:
 
     def test_second_worker_costs_one_chunk(self, pool_of):
         """A 128-volume reference batch (4 chunks of 32): a second worker
-        may raise the peak by one chunk in flight, its footprint on a
-        fresh worker (tape, backward arrays, token buffer) and its
-        gradient waiting for the caller."""
+        may raise the peak by one chunk in flight, its footprint (tape,
+        backward arrays, token buffer) and its gradient waiting for the
+        caller."""
         import tracemalloc
 
         config = M.ModelConfig()
