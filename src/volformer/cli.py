@@ -9,8 +9,8 @@ Exit codes: 0 success, 1 invalid configuration or usage, 2 I/O or
 dataset-level failure (including overwrite refusals), 3 checkpoint/config
 mismatch.
 
-Inference runs its chunks on a pool of worker threads, one per core or
-VOLFORMER_THREADS if that is fewer; results do not depend on the count.
+Training and inference run their chunks on a pool of worker threads, one
+per CPU the process may run on; results do not depend on the count.
 Importing this module defaults every BLAS pool to one thread per worker,
 before it imports numpy.
 """
@@ -89,8 +89,9 @@ class PathsConfig:
     def __post_init__(self):
         require_field_types(self)
         for f in dataclasses.fields(self):
-            if "\0" in getattr(self, f.name):
-                raise ConfigError(f"paths.{f.name} holds a NUL character")
+            if not data.is_file_name(getattr(self, f.name)):
+                raise ConfigError(f"paths.{f.name} holds a NUL character or a "
+                                  f"surrogate that no file name can encode")
 
 
 # config section -> its class; a RunConfig holds one instance of each
@@ -396,8 +397,15 @@ def cmd_cv(run: RunConfig, args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     k = run.split.folds
-    stem, ext = os.path.splitext(run.paths.report)
+    _refuse_existing([run.paths.report], args.force, checkpoint_dir=run.paths.checkpoint_dir)
+    # the folds are cut before the k per-fold paths are listed, so a k larger
+    # than a class is a DataError, not a list of k paths
+    manifest = _load_manifest(run)
     rep_indices = [run.split.repetition + r for r in range(args.repeats)]
+    rep_folds = [data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep),
+                                 by_subject=run.split.stratify_by == "subject")
+                 for rep in rep_indices]
+    stem, ext = os.path.splitext(run.paths.report)
     fold_report_paths = [
         f"{stem}_rep{rep}_fold{i}{ext or '.json'}"
         for rep in rep_indices for i in range(k)
@@ -406,12 +414,8 @@ def cmd_cv(run: RunConfig, args) -> int:
         os.path.join(run.paths.checkpoint_dir, f"cv_rep{rep}_fold{i}.vvck")
         for rep in rep_indices for i in range(k)
     ]
-    _refuse_existing([run.paths.report, *fold_report_paths, *fold_checkpoints], args.force,
+    _refuse_existing([*fold_report_paths, *fold_checkpoints], args.force,
                      checkpoint_dir=run.paths.checkpoint_dir)
-    manifest = _load_manifest(run)
-    rep_folds = [data.make_folds(manifest, k, seed=rng.derive_seed(run.split.seed, rep),
-                                 by_subject=run.split.stratify_by == "subject")
-                 for rep in rep_indices]
 
     inner_val_fraction = run.split.val_fraction / (
         run.split.train_fraction + run.split.val_fraction)
@@ -514,9 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="volformer",
         description="Volumetric scan classification pipeline.",
         epilog=_config_help() + "\n\nexit codes: 0 ok, 1 invalid input, "
-               "2 I/O or dataset failure, 3 checkpoint/config mismatch.\n"
-               "VOLFORMER_THREADS caps the training and inference worker threads "
-               "(default: one per core), each with one BLAS thread.",
+               "2 I/O or dataset failure, 3 checkpoint/config mismatch.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -563,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        training.worker_count()  # a bad VOLFORMER_THREADS fails before any work
         parser = build_parser()
         args = parser.parse_args(argv)
         run = load_run_config(args.config, args.set_exprs, args.seed)

@@ -174,6 +174,19 @@ def normalize_intensity(volume: Volume, mode: str = "minmax") -> Volume:
 # ---------------------------------------------------------------------------
 
 
+def is_file_name(text: str) -> bool:
+    """Whether open() takes text as a path: it holds no NUL character and
+    os.fsencode encodes it, which a lone surrogate outside \\udc80-\\udcff
+    (the surrogateescape stand-ins for undecodable bytes) fails."""
+    if "\0" in text:
+        return False
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass
 class ManifestEntry:
     path: str
@@ -239,8 +252,8 @@ class DatasetManifest:
                 for key, value in record.items():
                     if key == "label":
                         ok = type(value) is int  # bool is an int subclass
-                    elif key == "path":  # open() refuses a NUL character
-                        ok = isinstance(value, str) and "\0" not in value
+                    elif key == "path":
+                        ok = isinstance(value, str) and is_file_name(value)
                     else:
                         ok = isinstance(value, str) or value is None
                     if not ok:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -149,38 +148,12 @@ def _inference_chunks(n: int, workers: int) -> list[slice]:
     return _cut(n, min(k, max(1, n // 8)))
 
 
-def worker_count() -> int:
-    """Threads of the chunk worker pool: the cores this process may run
-    on, capped by the VOLFORMER_THREADS environment variable when it is
-    set. A value that is not an integer >= 1 is a ConfigError."""
-    cores = len(os.sched_getaffinity(0))
-    raw = os.environ.get("VOLFORMER_THREADS")
-    if raw is None:
-        return cores
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ConfigError(f"VOLFORMER_THREADS must be an integer >= 1, got {raw!r}")
-    return min(cap, cores)
-
-
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_size = 0  # _pool's thread count, which sets the inference cut
-_pool_lock = threading.Lock()
-
-
-def _workers() -> ThreadPoolExecutor:
-    """The chunk worker pool, started on first use with worker_count()
-    threads. numpy releases the GIL inside BLAS and long ufunc loops, so
-    workers with one BLAS thread each keep that many cores busy."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if _pool is None:
-            _pool_size = worker_count()
-            _pool = ThreadPoolExecutor(_pool_size, thread_name_prefix="volformer")
-        return _pool
+# The chunk worker pool: one thread per CPU this process may run on (taskset
+# or a cpuset sets that). numpy releases the GIL inside BLAS and long ufunc
+# loops, so workers with one BLAS thread each keep that many cores busy.
+# The threads start on the first submit, not at import.
+_WORKERS = len(os.sched_getaffinity(0))
+_pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="volformer")
 
 
 def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig):
@@ -260,10 +233,9 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
     _check_shapes(volumes, config)
     batches = [volumes[start : start + batch_size]
                for start in range(0, len(volumes), batch_size)]
-    pool = _workers()  # started here, it sets _pool_size
-    cuts = [_inference_chunks(len(batch), _pool_size) for batch in batches]
-    logits = pool.map(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
-                                      for s in cut], repeat(params), repeat(config))
+    cuts = [_inference_chunks(len(batch), _WORKERS) for batch in batches]
+    logits = _pool.map(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
+                                       for s in cut], repeat(params), repeat(config))
     for batch, cut in zip(batches, cuts):
         yield batch, T.Tensor(np.concatenate([next(logits) for _ in cut]))
 
@@ -304,7 +276,7 @@ def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
     started are then dropped.
     """
     chunks = [volumes[s] for s in _chunks(len(volumes))]
-    results = _workers().map(_chunk_gradient, chunks, repeat(params), repeat(config))
+    results = _pool.map(_chunk_gradient, chunks, repeat(params), repeat(config))
     loss_sum = 0.0
     total = None
     for chunk, (loss, grad) in zip(chunks, results):

@@ -43,6 +43,22 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def run_fresh(*args, script="import runpy; runpy.run_module('volformer', run_name='__main__')",
+              cpus=None, text=True):
+    """Run `python -m volformer *args`, or another -c script, in a fresh
+    interpreter that imports this checkout's volformer. With cpus, the
+    script first pins itself to the first cpus CPUs it may use, before
+    volformer sets up its worker pool."""
+    if cpus is not None:
+        script = ("import os\n"
+                  f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
+                  + script)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=text, timeout=120)
+
+
 def checksum_dir(path):
     out = {}
     for name in sorted(os.listdir(path)):
@@ -210,11 +226,7 @@ class TestTrainEvalPredict:
         tmp_path, cfg = synth_env
         sets = [arg for key, value in overrides.items()
                 for arg in ("--set", f"model.{key}={value}")]
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-m", "volformer", "train", "--config",
-                               str(cfg), "--quiet", *sets],
-                              env=env, capture_output=True, text=True, timeout=120)
+        done = run_fresh("train", "--config", str(cfg), "--quiet", *sets)
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr
         assert f"cannot allocate a model of {count:,} parameters" in done.stderr
@@ -351,12 +363,18 @@ class TestTrainEvalPredict:
         save_checkpoint(tmp_path / "ckpt" / "model.vvck",
                         ModelParams.zeros(ModelConfig(**TINY_MODEL)))
         bad = tmp_path / "nul.jsonl"
-        bad.write_text('{"path": "c0_0000.vvol", "label": 0}\n'
-                       '{"path": "a\\u0000b.vvol", "label": 0}\n')
         monkeypatch.setattr(TR, "predict_probs", None)  # calling it would raise TypeError
-        assert main(["predict", "--config", str(cfg), "--quiet",
-                     "--set", f"paths.manifest={bad}"]) == 2
-        assert f"{bad}:2: bad path" in capsys.readouterr().err
+        # a NUL and a lone surrogate are refused; \udc80-\udcff stand for
+        # undecodable bytes (surrogateescape), so open() looks that file up
+        for path, error in [("a\\u0000b.vvol", f"{bad}:2: bad path"),
+                            ("\\ud800.vvol", f"{bad}:2: bad path"),
+                            ("\\udc80\\udcff.vvol", "No such file or directory")]:
+            bad.write_text('{"path": "c0_0000.vvol", "label": 0}\n'
+                           f'{{"path": "{path}", "label": 0}}\n')
+            for command in (["predict"], ["preprocess", "--force"]):
+                assert main([*command, "--config", str(cfg), "--quiet",
+                             "--set", f"paths.manifest={bad}"]) == 2, (command, path)
+                assert error in capsys.readouterr().err, (command, path)
 
     def test_empty_checkpoint_dir_exits_2_before_any_work(self, synth_env, capsys):
         """train and cv refuse an empty paths.checkpoint_dir before they
@@ -390,37 +408,26 @@ class TestTrainEvalPredict:
 
     def test_eval_report_bytes_do_not_depend_on_the_worker_count(self, synth_env,
                                                                  capsys):
+        """eval pinned to one CPU (one worker) and on every CPU it may use."""
         tmp_path, cfg = synth_env
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-        env.pop("VOLFORMER_THREADS", None)
         reports = []
-        for threads in ("1", None):
-            if threads:
-                env["VOLFORMER_THREADS"] = threads
-            else:
-                env.pop("VOLFORMER_THREADS")
-            done = subprocess.run(
-                [sys.executable, "-m", "volformer", "eval", "--config", str(cfg),
-                 "--quiet", "--force", "--split", "train"],
-                env=env, capture_output=True, timeout=120)
+        for cpus in (1, None):
+            done = run_fresh("eval", "--config", str(cfg), "--quiet", "--force",
+                             "--split", "train", cpus=cpus, text=False)
             assert done.returncode == 0, done.stderr
             reports.append((done.stdout, (tmp_path / "report.json").read_bytes()))
         assert reports[0] == reports[1]
 
     def test_train_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys):
-        """Batches of 48 run as two chunks of 24, on one worker and on two."""
+        """Batches of 48 run as two chunks of 24, pinned to one CPU (one
+        worker) and on every CPU the test may use."""
         cfg = write_config(tmp_path, train={"batch_size": 48}, synth={"n_per_class": 30})
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
         runs = []
-        for threads in ("1", "2"):
-            done = subprocess.run(
-                [sys.executable, "-m", "volformer", "train", "--config", str(cfg),
-                 "--quiet", "--force"],
-                env=dict(env, VOLFORMER_THREADS=threads), capture_output=True, timeout=120)
+        for cpus in (1, None):
+            done = run_fresh("train", "--config", str(cfg), "--quiet", "--force",
+                             cpus=cpus, text=False)
             assert done.returncode == 0, done.stderr
             runs.append((done.stdout, (tmp_path / "history.jsonl").read_bytes(),
                          (tmp_path / "ckpt" / "model.vvck").read_bytes()))
@@ -586,6 +593,16 @@ class TestCrossValidation:
         assert not (tmp_path / "ckpt").exists()
         assert not list(tmp_path.glob("report*.json"))
 
+    def test_more_folds_than_a_class_holds_exits_2_before_the_fold_paths(self, synth_env,
+                                                                         capsys):
+        """make_folds refuses k = 10**12 (each class holds 10 volumes) before
+        cv lists a report and a checkpoint path per fold."""
+        tmp_path, cfg = synth_env
+        assert main(["cv", "--config", str(cfg), "--quiet",
+                     "--set", "split.folds=1000000000000"]) == 2
+        assert "has 10 items, fewer than k=1000000000000" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_subject_mode_reaches_the_folds(self, synth_env, capsys, monkeypatch):
         """Both the fold cut and each fold's validation carve get the
         subject mode."""
@@ -679,22 +696,19 @@ class TestConfigHandling:
         assert "invalid JSON" in capsys.readouterr().err
 
     def test_thread_cap_env(self, monkeypatch):
-        """The CLI defaults every BLAS pool to one thread; VOLFORMER_THREADS
-        caps the chunk workers instead."""
+        """The CLI defaults every BLAS pool to one thread."""
         from volformer.cli import _one_blas_thread
-        from volformer.training import worker_count
 
-        monkeypatch.setenv("VOLFORMER_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         _one_blas_thread()
         assert os.environ["OMP_NUM_THREADS"] == "1"
-        assert worker_count() == min(2, len(os.sched_getaffinity(0)))
 
     def test_thread_cap_set_before_numpy_loads(self):
         """In a fresh interpreter, the BLAS variables read one thread by the
-        time the CLI first imports numpy, whatever VOLFORMER_THREADS says."""
-        script = textwrap.dedent("""
+        time the CLI first imports numpy."""
+        done = run_fresh(script=textwrap.dedent("""
             import os, sys
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
             seen = []
 
             class Watch:
@@ -706,13 +720,27 @@ class TestConfigHandling:
             from volformer import cli
             code = cli.main(["inspect", "--quiet"])
             print(code, seen, file=sys.stderr)
-        """)
-        env = dict(os.environ, VOLFORMER_THREADS="3",
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        """))
         assert done.stderr.strip().splitlines()[-1] == "0 ['1']"
+
+    def test_pool_threads_start_on_the_first_chunk(self):
+        """Pinned to one CPU, the pool has one worker. Importing the CLI
+        starts no thread, and one predict_probs call starts that one."""
+        done = run_fresh(cpus=1, script=textwrap.dedent(f"""
+            import threading
+            from volformer import cli, model, training
+            print(threading.active_count(), training._WORKERS)
+            import numpy as np
+            from volformer.data import Volume
+            config = model.ModelConfig(**{TINY_MODEL!r})
+            params = model.ModelParams.initialize(config, seed=0)
+            volumes = [Volume(f"v{{i}}", 0, np.zeros(config.input_shape, np.float32))
+                       for i in range(24)]
+            training.predict_probs(params, config, volumes, 8)
+            print(sorted(t.name.split("_")[0] for t in threading.enumerate()))
+        """))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["1 1", "['MainThread', 'volformer']"]
 
     def test_tests_load_numpy_after_the_blas_default(self):
         """tests/conftest.py imports the CLI before numpy, so the suite runs
@@ -721,31 +749,26 @@ class TestConfigHandling:
 
         assert not conftest.NUMPY_LOADED_FIRST
 
-    def test_bad_thread_count_exits_1_from_main(self, monkeypatch, capsys):
-        """A bad VOLFORMER_THREADS is a config error from main; importing
-        the CLI with it set still works."""
-        env = dict(os.environ, VOLFORMER_THREADS="abc",
-                   PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-m", "volformer", "inspect", "--quiet"],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: VOLFORMER_THREADS"), done.stderr
-        for value in ("", "0", "-1"):
-            monkeypatch.setenv("VOLFORMER_THREADS", value)
-            assert main(["inspect", "--quiet"]) == 1, value
-            assert "VOLFORMER_THREADS" in capsys.readouterr().err
-
     def test_nul_in_a_path_key_exits_1_before_any_work(self, synth_env, capsys,
                                                       monkeypatch):
         import volformer.training as TR
 
         tmp_path, cfg = synth_env
         monkeypatch.setattr(TR, "train", None)  # calling it would raise TypeError
-        for key in ("history", "checkpoint_dir", "manifest"):
-            assert main(["train", "--config", str(cfg), "--quiet", "--force",
-                         "--set", f'paths.{key}="h\\u0000.jsonl"']) == 1, key
-            assert f"paths.{key} holds a NUL character" in capsys.readouterr().err
+        # a NUL, and a lone surrogate os.fsencode cannot encode
+        for value in ("h\\u0000.jsonl", "\\ud800.jsonl"):
+            for key in ("history", "checkpoint_dir", "manifest"):
+                assert main(["train", "--config", str(cfg), "--quiet", "--force",
+                             "--set", f'paths.{key}="{value}"']) == 1, (key, value)
+                assert (f"paths.{key} holds a NUL character or a surrogate"
+                        in capsys.readouterr().err)
         assert not (tmp_path / "ckpt").exists()
+        # in the config file too, where synth would write paths.manifest
+        doc = json.loads(cfg.read_text())
+        doc["paths"]["manifest"] = "\ud800.jsonl"
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(cfg), "--quiet", "--force"]) == 1
+        assert "paths.manifest holds a NUL character" in capsys.readouterr().err
 
     def test_preprocess_zscore_mode(self, tmp_path, capsys):
         cfg = write_config(tmp_path, preprocess={"normalize": "zscore"})

@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import math
-import os
 import sys
 import threading
 import time
@@ -536,7 +535,7 @@ def pool_of(monkeypatch):
     def install(n):
         made.append(ThreadPoolExecutor(n))
         monkeypatch.setattr(TR, "_pool", made[-1])
-        monkeypatch.setattr(TR, "_pool_size", n)
+        monkeypatch.setattr(TR, "_WORKERS", n)
 
     yield install
     for pool in made:
@@ -620,7 +619,7 @@ class TestWorkerPool:
                 TR.predict_probs(params, config, volumes[:48], 8)  # 6 batches of 8
             else:
                 TR._batch_gradient(params, config, volumes)  # 6 chunks of 32
-        TR._workers().submit(lambda: None).result(timeout=30)
+        TR._pool.submit(lambda: None).result(timeout=30)
         assert started[0] == "v0" and len(started) <= 2, started
 
     def test_float64_parameters_keep_their_precision(self):
@@ -774,7 +773,7 @@ class TestTrainingWorkers:
             finally:
                 tracemalloc.stop()
 
-        chunk = peak(1, lambda: TR._workers().submit(
+        chunk = peak(1, lambda: TR._pool.submit(
             TR._chunk_gradient, volumes[:32], params, config).result())
         gradient = params.flat.nbytes
         one, two = (peak(n, lambda: TR._batch_gradient(params, config, volumes))
@@ -803,22 +802,3 @@ class TestTrainingWorkers:
             tracemalloc.stop()
         assert len(tape.nodes) == 9 * config.num_layers + 4
         assert held <= 26 * 2**20, held / 2**20
-
-
-class TestWorkerCount:
-    """VOLFORMER_THREADS caps the pool at the core count; no pool is made."""
-
-    @pytest.mark.parametrize("value", ["", "0", "-1", "abc", "2.5"])
-    def test_bad_values_name_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("VOLFORMER_THREADS", value)
-        with pytest.raises(ConfigError, match="VOLFORMER_THREADS"):
-            TR.worker_count()
-
-    def test_capped_at_the_core_count(self, monkeypatch):
-        cores = len(os.sched_getaffinity(0))
-        monkeypatch.setenv("VOLFORMER_THREADS", "100000")
-        assert TR.worker_count() == cores
-        monkeypatch.setenv("VOLFORMER_THREADS", "1")
-        assert TR.worker_count() == 1
-        monkeypatch.delenv("VOLFORMER_THREADS")
-        assert TR.worker_count() == cores
