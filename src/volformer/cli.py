@@ -369,23 +369,23 @@ def cmd_train(run: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _evaluate_entries(manifest, entries, params, config, batch_size):
+def _evaluate_entries(manifest, entries, params, batch_size):
     volumes = manifest.load_volumes(entries)
-    probs = training.predict_probs(params, config, volumes, batch_size)
+    probs = training.predict_probs(params, params.config, volumes, batch_size)
     preds = model.predict_classes(probs)
     labels = [v.label for v in volumes]
-    return metrics.confusion(labels, preds, num_classes=config.num_classes,
+    return metrics.confusion(labels, preds, num_classes=params.config.num_classes,
                              class_names=manifest.class_names)
 
 
 def cmd_eval(run: RunConfig, args) -> int:
     _refuse_existing([run.paths.report], args.force)
-    config, params = _load_checkpoint_for(run, args)
+    _, params = _load_checkpoint_for(run, args)
     manifest = _split_manifest_if_needed(run, _load_manifest(run), args)
     entries = manifest.subset(args.split)
     if not entries:
         raise DataError(f"manifest has no entries tagged '{args.split}'")
-    cm = _evaluate_entries(manifest, entries, params, config, run.train.batch_size)
+    cm = _evaluate_entries(manifest, entries, params, run.train.batch_size)
     rep = metrics.report([cm])
     _write_report(rep, run.paths.report)
     _progress(args, f"report written to {run.paths.report}")
@@ -431,8 +431,7 @@ def cmd_cv(run: RunConfig, args) -> int:
             _train_fresh(run, manifest, train_entries, val_entries, (rep, i),
                          checkpoint_path=ckpt)
             _, best_params = checkpoint.load_checkpoint(ckpt)
-            cm = _evaluate_entries(manifest, fold.test, best_params, run.model,
-                                   run.train.batch_size)
+            cm = _evaluate_entries(manifest, fold.test, best_params, run.train.batch_size)
             matrices.append(cm)
             fold_report = metrics.report([cm])
             _write_report(fold_report, fold_report_paths[r * k + i])

@@ -7,10 +7,12 @@ positional encodings are added, and a stack of pre-norm encoder blocks
 softmax classification head over the mean of the final token
 embeddings (global average pooling).
 
-Everything is batch-first: volumes arrive as [B, T, H, W, C] and token
-activations are [B, N, embed_dim]. Weights are looked up by the
-canonical names of parameter_shapes; encoder block i reads the names
-under the prefix "layers.i.".
+A volume is a [T, H, W, C] array, tokenized on its own to [N,
+token_width]; a batch of volumes is a sequence of them, and token
+activations are [B, N, embed_dim]. The layers read the architecture from
+params.config, the config the parameters were made for. Weights are
+looked up by the canonical names of parameter_shapes; encoder block i
+reads the names under the prefix "layers.i.".
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -260,57 +262,10 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def extract_tubelets(batch: np.ndarray, config: ModelConfig,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch.
-
-    Tokens are ordered slice-block-major, then height, then width; within
-    a token the voxel order is (t, h, w, c) row-major. Together a
-    volume's tokens are a bijective rearrangement of the (cropped)
-    volume; trailing voxels that do not fill a tubelet are cropped with
-    a warning. Given a C-contiguous [B, N, token_width] array out, the
-    tokens are written into it (cast to its dtype) and out is returned.
-    """
-    b, t, h, w, c = batch.shape
-    gt = t // config.patch_slices
-    gh = h // config.patch_height
-    gw = w // config.patch_width
-    if gt == 0 or gh == 0 or gw == 0:
-        raise DimensionError(
-            f"volume extents {(t, h, w)} smaller than patch "
-            f"{(config.patch_slices, config.patch_height, config.patch_width)}"
-        )
-    kept = (gt * config.patch_slices, gh * config.patch_height, gw * config.patch_width)
-    if kept != (t, h, w):
-        warnings.warn(
-            f"volume extents {(t, h, w)} not divisible by patch extents; "
-            f"cropping to {kept}",
-            stacklevel=2,
-        )
-        batch = batch[:, :kept[0], :kept[1], :kept[2], :]
-    shape = (b, gt * gh * gw, config.token_width)
-    if out is None:
-        out = np.empty(shape, batch.dtype)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        raise UsageError(f"token buffer must be C-contiguous {shape}, got {out.shape}")
-    # a tubelet row, patch_width x channels voxels, is contiguous in the
-    # volume and in its token, so each is copied as one void element: over
-    # 200 reference volumes not in cache (2-core x86 host) a volume took
-    # 125 us, against 183 us copied voxel by voxel. A dtype cast or an
-    # input whose rows are not contiguous is copied first.
-    run = config.patch_width * c
-    rows = batch.reshape(b, gt, config.patch_slices, gh, config.patch_height, gw, run)
-    if rows.dtype != out.dtype or rows.strides[-1] != rows.itemsize:
-        rows = np.ascontiguousarray(rows, out.dtype)
-    row = np.dtype((np.void, run * out.itemsize))
-    tubelets = out.reshape(b, gt, gh, gw, config.patch_slices, config.patch_height, run)
-    np.copyto(tubelets.view(row)[..., 0], rows.view(row)[..., 0].transpose(0, 1, 3, 5, 2, 4))
-    return out
-
-
-def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Tensor:
+def embed(tokens: np.ndarray, params: ModelParams) -> T.Tensor:
     """Project [B, N, token_width] tokens to the embedding space and add
     positional rows."""
+    config = params.config
     if tokens.ndim != 3:
         raise DimensionError(f"tokens must be rank 3 [B, N, width], got rank {tokens.ndim}")
     if tokens.shape[-1] != config.token_width:
@@ -328,11 +283,12 @@ def embed(tokens: np.ndarray, params: ModelParams, config: ModelConfig) -> T.Ten
     return T.linear(x, weight, params["embed.bias"], addend=params["pos_embed"])
 
 
-def mhsa(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
+def mhsa(x: T.Tensor, params: ModelParams, prefix: str,
          attn_sink: Optional[list] = None, residual: Optional[T.Tensor] = None) -> T.Tensor:
     """Multi-head self-attention of the block at `prefix` over x [B, N, d]:
     per-head attention, concat, output projection, plus residual when
     given."""
+    config = params.config
     if x.shape[-1] != config.embed_dim:
         raise ConfigError(
             f"input width {x.shape[-1]} does not match embed_dim {config.embed_dim} "
@@ -354,60 +310,93 @@ def ffn(x: T.Tensor, params: ModelParams, prefix: str,
                     addend=residual)
 
 
-def encoder_block(x: T.Tensor, params: ModelParams, prefix: str, config: ModelConfig,
+def encoder_block(x: T.Tensor, params: ModelParams, prefix: str,
                   attn_sink: Optional[list] = None) -> T.Tensor:
     """Pre-norm residual block at `prefix`: x + attn(norm(x)), then
     y + ffn(norm(y)). Each residual is added in place by the layer that
     ends its branch, so the tape keeps no branch output apart from the sum."""
-    eps = config.layer_norm_eps
+    eps = params.config.layer_norm_eps
     normed = T.layer_norm(x, params[prefix + "ln1.gamma"], params[prefix + "ln1.beta"], eps)
-    y = mhsa(normed, params, prefix, config, attn_sink, residual=x)
+    y = mhsa(normed, params, prefix, attn_sink, residual=x)
     normed = T.layer_norm(y, params[prefix + "ln2.gamma"], params[prefix + "ln2.beta"], eps)
     return ffn(normed, params, prefix, residual=y)
 
 
-def encode(z: T.Tensor, params: ModelParams, config: ModelConfig,
-           attn_sink: Optional[list] = None) -> T.Tensor:
-    for i in range(config.num_layers):
-        z = encoder_block(z, params, f"layers.{i}.", config, attn_sink)
+def encode(z: T.Tensor, params: ModelParams, attn_sink: Optional[list] = None) -> T.Tensor:
+    for i in range(params.config.num_layers):
+        z = encoder_block(z, params, f"layers.{i}.", attn_sink)
     return z
 
 
-def classifier_logits(z: T.Tensor, params: ModelParams, config: ModelConfig) -> T.Tensor:
+def classifier_logits(z: T.Tensor, params: ModelParams) -> T.Tensor:
     """Final layer norm, mean over tokens, and the linear head (no
     softmax): [B, N, d] -> [B, classes]."""
     h = T.layer_norm(z, params["final_norm.gamma"], params["final_norm.beta"],
-                     config.layer_norm_eps)
+                     params.config.layer_norm_eps)
     pooled = T.reduce_mean(h, axis=1)
     return T.linear(pooled, params["head.weight"], params["head.bias"])
 
 
-def tokenize(volumes: np.ndarray, config: ModelConfig,
+def tokenize(volume: np.ndarray, config: ModelConfig,
              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Tubelet tokens [B, N, token_width] of a [B, T, H, W, C] batch in the
-    configured input shape, written into out when given (see
-    extract_tubelets)."""
-    if volumes.shape[1:] != config.input_shape:
+    """Tubelet tokens [N, token_width] of one [T, H, W, C] volume in the
+    configured input shape.
+
+    Tokens are ordered slice-block-major, then height, then width; within
+    a token the voxel order is (t, h, w, c) row-major. Together the tokens
+    are a bijective rearrangement of the (cropped) volume; trailing voxels
+    that do not fill a tubelet are cropped with a warning. Given a
+    C-contiguous [N, token_width] array out, the tokens are written into it
+    (cast to its dtype) and out is returned.
+    """
+    if volume.shape != config.input_shape:
         raise DimensionError(
-            f"volume shape {volumes.shape[1:]} does not match configured input "
+            f"volume shape {volume.shape} does not match configured input "
             f"{config.input_shape}"
         )
-    return extract_tubelets(volumes, config, out)
+    grid = token_grid(config)
+    pt, ph, pw = config.patch_slices, config.patch_height, config.patch_width
+    kept = (grid.t * pt, grid.h * ph, grid.w * pw)
+    if kept != volume.shape[:3]:
+        warnings.warn(
+            f"volume extents {volume.shape[:3]} not divisible by patch extents; "
+            f"cropping to {kept}",
+            stacklevel=2,
+        )
+        volume = volume[:kept[0], :kept[1], :kept[2]]
+    shape = (grid.total, config.token_width)
+    if out is None:
+        out = np.empty(shape, volume.dtype)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise UsageError(f"token buffer must be C-contiguous {shape}, got {out.shape}")
+    # a tubelet row, patch_width x channels voxels, is contiguous in the
+    # volume and in its token, so each is copied as one void element: over
+    # 200 reference volumes not in cache (2-core x86 host) a volume took
+    # 125 us, against 183 us copied voxel by voxel. A dtype cast or an
+    # input whose rows are not contiguous is copied first.
+    run = pw * config.channels
+    rows = volume.reshape(grid.t, pt, grid.h, ph, grid.w, run)
+    if rows.dtype != out.dtype or rows.strides[-1] != rows.itemsize:
+        rows = np.ascontiguousarray(rows, out.dtype)
+    row = np.dtype((np.void, run * out.itemsize))
+    tubelets = out.reshape(grid.t, grid.h, grid.w, pt, ph, run)
+    np.copyto(tubelets.view(row)[..., 0], rows.view(row)[..., 0].transpose(0, 2, 4, 1, 3))
+    return out
 
 
-def forward_logits(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
+def forward_logits(volumes: Sequence[np.ndarray], params: ModelParams,
                    attn_sink: Optional[list] = None) -> T.Tensor:
-    """Logits [B, classes] for a [B, T, H, W, C] batch of volumes: tokenize,
-    embed, run the encoder stack, pool, and project. Each volume is
-    processed independently."""
-    z = embed(tokenize(volumes, config), params, config)
-    return classifier_logits(encode(z, params, config, attn_sink), params, config)
-
-
-def forward(volumes: np.ndarray, params: ModelParams, config: ModelConfig,
-            attn_sink: Optional[list] = None) -> T.Tensor:
-    """Class probabilities [B, classes]; rows sum to 1."""
-    return T.softmax(forward_logits(volumes, params, config, attn_sink), axis=-1)
+    """Logits [B, classes] for a sequence of B [T, H, W, C] volumes (a
+    stacked [B, T, H, W, C] array is one): tokenize into one buffer in the
+    parameters' dtype, embed, run the encoder stack, pool, and project.
+    Each volume is processed independently."""
+    config = params.config
+    tokens = np.empty((len(volumes), token_grid(config).total, config.token_width),
+                      params["embed.weight"].dtype)
+    for volume, out in zip(volumes, tokens):
+        tokenize(volume, config, out=out)
+    z = embed(tokens, params)
+    return classifier_logits(encode(z, params, attn_sink), params)
 
 
 def predict_classes(probs: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from . import tensor as T
 from .checkpoint import save_checkpoint
 from .data import Volume
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
-                     require_field_types)
+                     UsageError, require_field_types)
 from .rng import Rng, derive_seed
 
 MONITORS = ("val_loss", "val_acc")
@@ -71,13 +71,10 @@ def adam_step(params: M.ModelParams, grad: np.ndarray, state: AdamState,
     bad step aborts cleanly (NumericError, naming the first parameter that
     holds a non-finite entry) with params and state intact.
     """
-    finite = np.isfinite(grad)
-    if not finite.all():
-        offset = int(np.argmin(finite))  # the first non-finite entry
-        for name, tensor in params.named_parameters():
-            if offset < tensor.size:
+    if not np.isfinite(grad).all():
+        for name, tensor in M.ModelParams(params.config, grad).named_parameters():
+            if not np.isfinite(tensor.data).all():
                 raise NumericError(f"non-finite gradient in '{name}'; step aborted")
-            offset -= tensor.size
     t = state.step_count + 1
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
@@ -90,9 +87,14 @@ def adam_step(params: M.ModelParams, grad: np.ndarray, state: AdamState,
     state.step_count = t
 
 
-def _check_shapes(volumes: Sequence[Volume], config: M.ModelConfig) -> None:
-    """Raise DimensionError naming the first volume whose shape is not the
-    configured input shape."""
+def _check_inputs(params: M.ModelParams, config: M.ModelConfig,
+                  volumes: Sequence[Volume]) -> None:
+    """Raise UsageError when config is not params.config, the config every
+    layer reads, and then DimensionError naming the first volume whose
+    shape is not the configured input shape."""
+    if config != params.config:
+        differ = [k for k, v in vars(params.config).items() if getattr(config, k, None) != v]
+        raise UsageError(f"config differs from the parameters' own in {', '.join(differ)}")
     for volume in volumes:
         if volume.voxels.shape != config.input_shape:
             raise DimensionError(
@@ -156,39 +158,36 @@ _WORKERS = len(os.sched_getaffinity(0))
 _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="volformer")
 
 
-def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig):
+def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams):
     """(s, tokens) for each slice s of chunk cut by _chunks to at most _SUB
     volumes: tokens [len(chunk[s]), N, token_width] in the parameters'
     dtype, in the leading rows of one buffer per call, which the next slice
     overwrites. They are written volume by volume, so no stacked copy of
-    the voxels is made. Shapes must have passed _check_shapes."""
+    the voxels is made. Shapes must have passed _check_inputs."""
+    config = params.config
     buf = np.empty((_SUB, M.token_grid(config).total, config.token_width),
                    params["embed.weight"].dtype)
     for s in _chunks(len(chunk), _SUB):
-        for i, volume in enumerate(chunk[s]):
-            M.tokenize(volume.voxels[None], config, out=buf[i : i + 1])
+        for volume, out in zip(chunk[s], buf):
+            M.tokenize(volume.voxels, config, out=out)
         yield s, buf[: s.stop - s.start]
 
 
-def _embed_chunk(chunk: Sequence[Volume], params: M.ModelParams,
-                 config: M.ModelConfig) -> np.ndarray:
+def _embed_chunk(chunk: Sequence[Volume], params: M.ModelParams) -> np.ndarray:
     """Embeddings [len(chunk), N, d] of one chunk, made without a tape one
     sub-block at a time. Each sub-block's GEMM rows start on a multiple of
     4, so they equal one embed over the chunk bit for bit."""
-    return np.concatenate([M.embed(x, params, config).data
-                           for _, x in _sub_blocks(chunk, params, config)])
+    return np.concatenate([M.embed(x, params).data for _, x in _sub_blocks(chunk, params)])
 
 
-def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams,
-                  config: M.ModelConfig) -> np.ndarray:
+def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams) -> np.ndarray:
     """Logits [len(chunk), classes] of one chunk, run on a worker thread:
     the encoder and head run on the whole chunk's embeddings."""
-    z = T.Tensor(_embed_chunk(chunk, params, config))
-    return M.classifier_logits(M.encode(z, params, config), params, config).data
+    z = T.Tensor(_embed_chunk(chunk, params))
+    return M.classifier_logits(M.encode(z, params), params).data
 
 
-def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
-                    config: M.ModelConfig) -> tuple[float, np.ndarray]:
+def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams) -> tuple[float, np.ndarray]:
     """(mean cross-entropy, its gradient in the layout of params.flat) of
     one chunk, run on a worker thread.
 
@@ -198,24 +197,24 @@ def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams,
     summed over the sub-blocks of _embed_chunk, each tokenized again, and
     the bias and positional gradients are sums over rows and volumes.
     """
-    z = T.Tensor(_embed_chunk(chunk, params, config), requires_grad=True)
+    z = T.Tensor(_embed_chunk(chunk, params), requires_grad=True)
     with T.Tape() as tape:
-        logits = M.classifier_logits(M.encode(z, params, config), params, config)
+        logits = M.classifier_logits(M.encode(z, params), params)
         loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
     tape.backward(loss, [z, *params.tensors()])
     # the embed's three leaves lead parameter_shapes; off the tape, they get zeros
     g, weight, _, _, *rest = tape.grads
     del tape  # the activations go before the embed gradient is made
+    config = params.config
     g_rows = g.reshape(-1, config.embed_dim)
-    for s, x in _sub_blocks(chunk, params, config):
+    for s, x in _sub_blocks(chunk, params):
         weight += x.reshape(-1, config.token_width).T @ g[s].reshape(-1, config.embed_dim)
     bias = np.ones(len(g_rows), g.dtype) @ g_rows
     return float(loss.data), np.concatenate(
         [t.ravel() for t in (weight, bias, g.sum(axis=0), *rest)])
 
 
-def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelConfig,
-             batch_size: int, what: str):
+def _batches(volumes: Sequence[Volume], params: M.ModelParams, batch_size: int, what: str):
     """(batch, logits) for each batch of batch_size volumes.
 
     Each batch is cut on its own by _inference_chunks for the pool's
@@ -226,16 +225,16 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, config: M.ModelCo
     logits are gathered in chunk order, so they are bit-identical to one
     forward_logits pass over the batch at any worker count. The first error
     a chunk raises is raised here, and the chunks not yet started are then
-    dropped, as they are when the caller stops early.
+    dropped, as they are when the caller stops early. Shapes must have
+    passed _check_inputs.
     """
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
-    _check_shapes(volumes, config)
     batches = [volumes[start : start + batch_size]
                for start in range(0, len(volumes), batch_size)]
     cuts = [_inference_chunks(len(batch), _WORKERS) for batch in batches]
     logits = _pool.map(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
-                                       for s in cut], repeat(params), repeat(config))
+                                       for s in cut], repeat(params))
     for batch, cut in zip(batches, cuts):
         yield batch, T.Tensor(np.concatenate([next(logits) for _ in cut]))
 
@@ -245,11 +244,13 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
     """(mean cross-entropy, accuracy) over a volume list, without a tape.
 
     The loss is averaged per batch of batch_size and then over the set, so
-    batch_size sets the low bits of the result.
+    batch_size sets the low bits of the result. config must be
+    params.config (see _check_inputs).
     """
+    _check_inputs(params, config, volumes)
     total_loss = 0.0
     correct = 0
-    for batch, logits in _batches(volumes, params, config, batch_size, "evaluate"):
+    for batch, logits in _batches(volumes, params, batch_size, "evaluate"):
         labels = np.array([v.label for v in batch], dtype=np.int64)
         total_loss += float(T.softmax_cross_entropy(logits, labels).data) * len(batch)
         correct += int((M.predict_classes(logits.data) == labels).sum())
@@ -258,14 +259,14 @@ def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Vol
 
 def predict_probs(params: M.ModelParams, config: M.ModelConfig,
                   volumes: Sequence[Volume], batch_size: int = 128) -> np.ndarray:
-    """Class probabilities [n, classes] for a volume list."""
+    """Class probabilities [n, classes] for a volume list; config must be
+    params.config (see _check_inputs)."""
+    _check_inputs(params, config, volumes)
     return np.concatenate([
-        T.softmax(logits).data
-        for _, logits in _batches(volumes, params, config, batch_size, "predict")])
+        T.softmax(logits).data for _, logits in _batches(volumes, params, batch_size, "predict")])
 
 
-def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
-                    volumes: Sequence[Volume]) -> tuple[float, np.ndarray]:
+def _batch_gradient(params: M.ModelParams, volumes: Sequence[Volume]) -> tuple[float, np.ndarray]:
     """(summed loss of the batch volumes, gradient of their mean
     cross-entropy in the layout of params.flat).
 
@@ -276,7 +277,7 @@ def _batch_gradient(params: M.ModelParams, config: M.ModelConfig,
     started are then dropped.
     """
     chunks = [volumes[s] for s in _chunks(len(volumes))]
-    results = _pool.map(_chunk_gradient, chunks, repeat(params), repeat(config))
+    results = _pool.map(_chunk_gradient, chunks, repeat(params))
     loss_sum = 0.0
     total = None
     for chunk, (loss, grad) in zip(chunks, results):
@@ -302,12 +303,13 @@ def train(params: M.ModelParams, config: M.ModelConfig,
           on_epoch: Optional[Callable[[dict], None]] = None) -> TrainResult:
     """Run the epoch loop with improvement-gated checkpointing.
 
-    Every train and validation volume must have the configured input
-    shape; a DimensionError naming the first that does not is raised
-    before epoch 1. Each epoch reshuffles the training set from a stream
-    derived from cfg.seed (derive_seed(seed, 1)), walks it in batches of
-    cfg.batch_size (last partial batch kept), one Adam step per batch,
-    and evaluates the validation set. A batch's forward and backward run
+    config must be params.config (a UsageError otherwise), and every train
+    and validation volume must have its input shape (a DimensionError
+    naming the first that does not); both are checked before epoch 1.
+    Each epoch reshuffles the training set from a stream derived from
+    cfg.seed (derive_seed(seed, 1)), walks it in batches of cfg.batch_size
+    (last partial batch kept), one Adam step per batch, and evaluates the
+    validation set. A batch's forward and backward run
     in chunks of at most _CHUNK volumes on the worker pool, each tokenized
     from its volumes as inference does, so peak memory stops growing with
     cfg.batch_size past one chunk per worker and holds no copy of the
@@ -322,8 +324,7 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
-    _check_shapes(train_set, config)
-    _check_shapes(val_set, config)
+    _check_inputs(params, config, [*train_set, *val_set])
     n = len(train_set)
     state = AdamState(params)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
@@ -339,7 +340,7 @@ def train(params: M.ModelParams, config: M.ModelConfig,
             epoch_loss = 0.0
             for start in range(0, n, cfg.batch_size):
                 loss_sum, grad = _batch_gradient(
-                    params, config, shuffled[start : start + cfg.batch_size])
+                    params, shuffled[start : start + cfg.batch_size])
                 epoch_loss += loss_sum
                 adam_step(params, grad, state, cfg)
             val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)

@@ -1,5 +1,4 @@
 import json
-import math
 import struct
 import sys
 
@@ -14,7 +13,8 @@ import volformer.cli  # noqa: E402,F401
 import numpy as np  # noqa: E402
 
 from volformer import tensor as T  # noqa: E402
-from volformer.model import ModelConfig, ModelParams, parameter_shapes  # noqa: E402
+from volformer.model import (ModelConfig, ModelParams, count_params,  # noqa: E402
+                             parameter_shapes)
 from volformer.rng import Rng  # noqa: E402
 
 
@@ -46,14 +46,9 @@ def random_params(config: ModelConfig, seed: int, dtype=np.float64) -> ModelPara
 
 def split_flat(config: ModelConfig, vec: np.ndarray) -> dict[str, np.ndarray]:
     """Views of a vector in the layout of ModelParams.flat, one per name,
-    cut in parameter_shapes order."""
-    out, offset = {}, 0
-    for name, shape in parameter_shapes(config):
-        size = math.prod(shape)
-        out[name] = vec[offset : offset + size].reshape(shape)
-        offset += size
-    assert offset == vec.size
-    return out
+    in parameter_shapes order: the views of ModelParams(config, vec)."""
+    assert vec.size == count_params(config)
+    return {name: t.data for name, t in ModelParams(config, vec).named_parameters()}
 
 
 def project(t: T.Tensor, c) -> T.Tensor:

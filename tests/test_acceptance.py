@@ -140,7 +140,7 @@ def test_criterion_02_whole_model_gradients():
         labels = data_rng.integers(0, TINY.num_classes, size=2)
 
         def loss_value():
-            logits = M.forward_logits(vox, params, TINY)
+            logits = M.forward_logits(vox, params)
             return T.softmax_cross_entropy(logits, labels)
 
         with T.Tape() as tape:
@@ -179,7 +179,7 @@ def test_criterion_03_attention_rows_are_probabilities():
         for _ in range(10):
             sink = []
             vol = rng.standard_normal((1,) + TINY.input_shape).astype(np.float32)
-            M.forward(vol, params, TINY, attn_sink=sink)
+            M.forward_logits(vol, params, attn_sink=sink)
             for alpha in sink:
                 checked += alpha.shape[0] * alpha.shape[1] * alpha.shape[2]
                 ok &= bool((alpha >= 0).all())
@@ -209,9 +209,9 @@ def test_overfit_loss_trend(overfit):
 
 def test_criterion_05_position_encoding_sensitivity(overfit):
     def token_logits(tokens, params):
-        z = M.embed(tokens[None], params, TINY)
-        z = M.encode(z, params, TINY)
-        return M.classifier_logits(z, params, TINY).data[0]
+        z = M.embed(tokens[None], params)
+        z = M.encode(z, params)
+        return M.classifier_logits(z, params).data[0]
 
     rng = np.random.default_rng(55)
     perm = rng.permutation(8)
@@ -224,7 +224,7 @@ def test_criterion_05_position_encoding_sensitivity(overfit):
     equivariant = np.abs(base_probs - perm_probs).max() < 1e-5
 
     trained = overfit["params"]
-    sample = M.extract_tubelets(overfit["train_vols"][0].voxels[None], TINY)[0]
+    sample = M.tokenize(overfit["train_vols"][0].voxels, TINY)
     delta = np.abs(token_logits(sample, trained)
                    - token_logits(sample[perm], trained)).max()
     sensitive = delta > 1e-6

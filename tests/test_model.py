@@ -146,14 +146,14 @@ class TestExtractTubelets:
                             patch_slices=1, patch_height=1, patch_width=2,
                             embed_dim=2, num_heads=1, num_layers=0, num_classes=2)
         vox = np.arange(8, dtype=np.float32).reshape(2, 2, 2, 1)
-        tokens = M.extract_tubelets(vox[None], cfg)[0]
+        tokens = M.tokenize(vox, cfg)
         np.testing.assert_array_equal(tokens, naive_tokens(vox, cfg))
         np.testing.assert_array_equal(tokens, [[0, 1], [2, 3], [4, 5], [6, 7]])
 
     def test_partition_round_trip(self, tiny):
         rng = np.random.default_rng(0)
         vox = rng.standard_normal((4, 8, 8, 1)).astype(np.float32)
-        tokens = M.extract_tubelets(vox[None], tiny)[0]
+        tokens = M.tokenize(vox, tiny)
         grid = M.token_grid(tiny)
         rebuilt = tokens.reshape(grid.t, grid.h, grid.w, tiny.patch_slices,
                                  tiny.patch_height, tiny.patch_width, 1)
@@ -161,28 +161,31 @@ class TestExtractTubelets:
         assert (rebuilt == vox).all()
 
     def test_writes_into_a_buffer(self, tiny):
-        vox = np.random.default_rng(1).standard_normal((2, 4, 8, 8, 1))
+        vox = np.random.default_rng(1).standard_normal((4, 8, 8, 1))
         out = np.empty((3, 8, tiny.token_width), np.float32)
-        got = M.extract_tubelets(vox, tiny, out=out[1:])
+        got = M.tokenize(vox, tiny, out=out[1])
         assert got.base is out
-        np.testing.assert_array_equal(out[1:], M.extract_tubelets(vox, tiny).astype(np.float32))
+        np.testing.assert_array_equal(out[1], M.tokenize(vox, tiny).astype(np.float32))
         with pytest.raises(UsageError):
-            M.extract_tubelets(vox, tiny, out=out[:, ::2])
+            M.tokenize(vox, tiny, out=np.empty((8, 2 * tiny.token_width))[:, ::2])
 
     def test_constant_volume_gives_identical_tokens(self, tiny):
-        tokens = M.extract_tubelets(np.full((1, 4, 8, 8, 1), 2.5, np.float32), tiny)[0]
+        tokens = M.tokenize(np.full((4, 8, 8, 1), 2.5, np.float32), tiny)
         assert (tokens == tokens[0]).all()
 
     def test_remainder_crop_warns(self):
-        cfg = M.ModelConfig(slices=2, height=2, width=2, channels=1,
+        """A width of 3 holds one 2-wide patch; the third column is cropped."""
+        cfg = M.ModelConfig(slices=2, height=2, width=3, channels=1,
                             patch_slices=1, patch_height=1, patch_width=2,
                             embed_dim=2, num_heads=1, num_layers=0, num_classes=2)
+        vox = np.arange(12, dtype=np.float32).reshape(2, 2, 3, 1)
         with pytest.warns(UserWarning, match="cropping"):
-            M.extract_tubelets(np.zeros((1, 2, 2, 3, 1), np.float32), cfg)
+            tokens = M.tokenize(vox, cfg)
+        np.testing.assert_array_equal(tokens, [[0, 1], [3, 4], [6, 7], [9, 10]])
 
     def test_undersized_volume_rejected(self, tiny):
-        with pytest.raises(DimensionError):
-            M.extract_tubelets(np.zeros((1, 1, 8, 8, 1), np.float32), tiny)
+        with pytest.raises(DimensionError, match="does not match configured input"):
+            M.tokenize(np.zeros((1, 8, 8, 1), np.float32), tiny)
 
 
 def minimal_embed_setup():
@@ -197,19 +200,19 @@ class TestEmbed:
     def test_zero_tokens_zero_positions_give_bias(self, tiny):
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
         params["embed.bias"].data[:] = np.arange(8)
-        z = M.embed(np.zeros((1, 8, tiny.token_width)), params, tiny)
+        z = M.embed(np.zeros((1, 8, tiny.token_width)), params)
         np.testing.assert_array_equal(z.data[0], np.tile(np.arange(8.0), (8, 1)))
 
     def test_identical_tokens_identical_rows(self, tiny):
         params = random_params(tiny, seed=1)
         params["pos_embed"].data[:] = 0.0
         tokens = np.tile(np.random.default_rng(2).standard_normal(32), (8, 1))
-        z = M.embed(tokens[None], params, tiny)
+        z = M.embed(tokens[None], params)
         assert (z.data == z.data[0, 0]).all()
 
     def test_unit_token_hand_case(self):
         cfg, params = minimal_embed_setup()
-        z = M.embed(np.array([[[1.0, 0.0]]]), params, cfg)
+        z = M.embed(np.array([[[1.0, 0.0]]]), params)
         expected = params["embed.weight"].data[0] + params["embed.bias"].data \
             + params["pos_embed"].data[0]
         np.testing.assert_allclose(z.data[0, 0], expected, atol=1e-12)
@@ -217,7 +220,7 @@ class TestEmbed:
     def test_width_mismatch_rejected(self, tiny):
         params = M.ModelParams.zeros(tiny)
         with pytest.raises(DimensionError):
-            M.embed(np.zeros((1, 3, 7)), params, tiny)
+            M.embed(np.zeros((1, 3, 7)), params)
 
 
 class TestAttention:
@@ -255,8 +258,7 @@ class TestAttention:
         params = random_params(tiny, seed=6)
         rng = np.random.default_rng(3)
         sink = []
-        M.forward(rng.standard_normal((2, 4, 8, 8, 1)), params, tiny,
-                  attn_sink=sink)
+        M.forward_logits(rng.standard_normal((2, 4, 8, 8, 1)), params, attn_sink=sink)
         assert len(sink) == tiny.num_layers
         for alpha in sink:
             assert (alpha >= 0).all()
@@ -368,7 +370,7 @@ class TestMhsa:
         params = random_params(cfg, seed=7)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((6, 8))
-        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.", cfg).data[0]
+        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.").data[0]
 
         def w(name):
             return params["layers.0.attn." + name].data
@@ -386,8 +388,8 @@ class TestMhsa:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 8))
         perm = rng.permutation(8)
-        base = M.mhsa(T.Tensor(x[None]), params, "layers.0.", tiny).data[0]
-        permuted = M.mhsa(T.Tensor(x[perm][None]), params, "layers.0.", tiny).data[0]
+        base = M.mhsa(T.Tensor(x[None]), params, "layers.0.").data[0]
+        permuted = M.mhsa(T.Tensor(x[perm][None]), params, "layers.0.").data[0]
         np.testing.assert_allclose(permuted, base[perm], atol=1e-10)
 
     def test_matches_naive_double_loop(self, tiny):
@@ -397,14 +399,14 @@ class TestMhsa:
         arrays = {name: t.data for name, t in params.named_parameters()}
         rng = np.random.default_rng(6)
         x = rng.standard_normal((8, 8))
-        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.", tiny).data[0]
+        got = M.mhsa(T.Tensor(x[None]), params, "layers.0.").data[0]
         expected = _naive_attention(x, arrays, "layers.0.", tiny)
         np.testing.assert_allclose(got, expected, atol=1e-6)
 
     def test_wrong_width_rejected(self, tiny):
         params = random_params(tiny, seed=10)
         with pytest.raises(ConfigError):
-            M.mhsa(T.Tensor(np.zeros((1, 4, 5))), params, "layers.0.", tiny)
+            M.mhsa(T.Tensor(np.zeros((1, 4, 5))), params, "layers.0.")
 
 
 class TestFfn:
@@ -440,13 +442,13 @@ class TestEncoderBlock:
         for name in ("attn.out_weight", "attn.out_bias", "ffn.w2", "ffn.b2"):
             params["layers.0." + name].data[:] = 0.0
         x = np.random.default_rng(3).standard_normal((1, 8, 8))
-        out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
+        out = M.encoder_block(T.Tensor(x), params, "layers.0.")
         np.testing.assert_array_equal(out.data, x)
 
     def test_stable_at_large_magnitude(self, tiny):
         params = random_params(tiny, seed=13)
         x = 1e3 * np.random.default_rng(4).standard_normal((1, 8, 8))
-        out = M.encoder_block(T.Tensor(x), params, "layers.0.", tiny)
+        out = M.encoder_block(T.Tensor(x), params, "layers.0.")
         assert np.isfinite(out.data).all()
 
     def test_records_9_tape_nodes(self, tiny):
@@ -456,7 +458,7 @@ class TestEncoderBlock:
         residual added."""
         params = random_params(tiny, seed=15)
         with T.Tape() as tape:
-            M.encoder_block(T.Tensor(np.zeros((1, 8, 8))), params, "layers.0.", tiny)
+            M.encoder_block(T.Tensor(np.zeros((1, 8, 8))), params, "layers.0.")
         assert len(tape.nodes) == 9
 
     def test_fused_epilogues_bit_identical_to_separate_ops(self):
@@ -468,7 +470,8 @@ class TestEncoderBlock:
         rng = np.random.default_rng(20)
         params = M.ModelParams.initialize(config, seed=20, weight_std=0.2)
         params.flat += 0.1 * rng.standard_normal(params.flat.size).astype(np.float32)
-        tokens = M.tokenize(rng.random((4,) + config.input_shape, dtype=np.float32), config)
+        tokens = np.stack([M.tokenize(v, config) for v in
+                           rng.random((4,) + config.input_shape, dtype=np.float32)])
         c = rng.standard_normal((4, 16, config.embed_dim))
 
         def relu(a):
@@ -492,7 +495,7 @@ class TestEncoderBlock:
             return z
 
         def fused(p, x):
-            return M.encode(M.embed(x.data, p, config), p, config)
+            return M.encode(M.embed(x.data, p), p)
 
         results = []
         for forward in (separate, fused):
@@ -513,7 +516,7 @@ class TestEncoderBlock:
         x0 = np.random.default_rng(6).standard_normal((1, 8, 8))
 
         def f(t):
-            return project(M.encoder_block(t, params, "layers.0.", tiny), c)
+            return project(M.encoder_block(t, params, "layers.0."), c)
 
         assert T.finite_difference_check(f, T.Tensor(x0), step=1e-5) < 1e-6
 
@@ -524,15 +527,15 @@ class TestClassification:
         params["head.weight"].data[:] = 0.0
         params["head.bias"].data[:] = 0.0
         z = T.Tensor(np.random.default_rng(7).standard_normal((2, 8, 8)))
-        probs = T.softmax(M.classifier_logits(z, params, tiny))
+        probs = T.softmax(M.classifier_logits(z, params))
         np.testing.assert_allclose(probs.data, np.full((2, 3), 1 / 3), atol=1e-12)
 
     def test_identical_rows_match_single_row(self, tiny):
         params = random_params(tiny, seed=16)
         row = np.random.default_rng(8).standard_normal(8)
         stacked = T.softmax(M.classifier_logits(
-            T.Tensor(np.tile(row, (1, 8, 1))), params, tiny))
-        single = T.softmax(M.classifier_logits(T.Tensor(row[None, None, :]), params, tiny))
+            T.Tensor(np.tile(row, (1, 8, 1))), params))
+        single = T.softmax(M.classifier_logits(T.Tensor(row[None, None, :]), params))
         np.testing.assert_allclose(stacked.data, single.data, atol=1e-9)
 
     def test_hand_logits(self, tiny):
@@ -541,7 +544,7 @@ class TestClassification:
         params["final_norm.gamma"].data[:] = 0.0  # pooled output becomes final beta
         params["head.bias"].data[:] = [0.0, math.log(3.0), 0.0]
         z = T.Tensor(np.random.default_rng(9).standard_normal((1, 8, 8)))
-        probs = T.softmax(M.classifier_logits(z, params, tiny))
+        probs = T.softmax(M.classifier_logits(z, params))
         np.testing.assert_allclose(probs.data, [[0.2, 0.6, 0.2]], atol=1e-12)
 
     def test_predicted_class_tie_breaks_low(self):
@@ -553,27 +556,27 @@ class TestForward:
     def test_identical_volumes_identical_rows(self, tiny):
         params = random_params(tiny, seed=17, dtype=np.float32)
         vol = np.random.default_rng(10).standard_normal((4, 8, 8, 1)).astype(np.float32)
-        probs = M.forward(np.stack([vol, vol, vol]), params, tiny).data
+        probs = T.softmax(M.forward_logits(np.stack([vol, vol, vol]), params)).data
         assert (probs == probs[0]).all()
 
     def test_rows_sum_to_one(self, tiny):
         params = random_params(tiny, seed=18, dtype=np.float32)
         batch = np.random.default_rng(11).standard_normal((6, 4, 8, 8, 1))
-        probs = M.forward(batch.astype(np.float32), params, tiny).data
+        probs = T.softmax(M.forward_logits(batch.astype(np.float32), params)).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_forward_is_pure(self, tiny):
         params = random_params(tiny, seed=19, dtype=np.float32)
         batch = np.random.default_rng(12).standard_normal((2, 4, 8, 8, 1)) \
             .astype(np.float32)
-        a = M.forward(batch, params, tiny).data
-        b = M.forward(batch, params, tiny).data
+        a = T.softmax(M.forward_logits(batch, params)).data
+        b = T.softmax(M.forward_logits(batch, params)).data
         assert (a == b).all()
 
     def test_wrong_input_shape_rejected(self, tiny):
         params = M.ModelParams.zeros(tiny)
         with pytest.raises(DimensionError):
-            M.forward(np.zeros((1, 5, 8, 8, 1), np.float32), params, tiny)
+            M.forward_logits(np.zeros((1, 5, 8, 8, 1), np.float32), params)
 
     def test_matches_naive_reference(self, tiny):
         params = random_params(tiny, seed=20)
@@ -581,7 +584,7 @@ class TestForward:
         rng = np.random.default_rng(13)
         for _ in range(3):
             vol = rng.standard_normal((4, 8, 8, 1))
-            got = M.forward(vol[None].astype(np.float64), params, tiny).data[0]
+            got = T.softmax(M.forward_logits(vol[None].astype(np.float64), params)).data[0]
             expected = naive_forward(vol, arrays, tiny)
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -591,16 +594,16 @@ class TestForward:
                   for name, t in params32.named_parameters()}
         vol = np.random.default_rng(14).standard_normal((4, 8, 8, 1)) \
             .astype(np.float32)
-        got = M.forward(vol[None], params32, tiny).data[0]
+        got = T.softmax(M.forward_logits(vol[None], params32)).data[0]
         expected = naive_forward(vol, arrays, tiny)
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
 
 class TestPositionSensitivity:
-    def _token_probs(self, tokens, params, cfg):
-        z = M.embed(tokens, params, cfg)
-        z = M.encode(z, params, cfg)
-        return T.softmax(M.classifier_logits(z, params, cfg), axis=-1).data
+    def _token_probs(self, tokens, params):
+        z = M.embed(tokens, params)
+        z = M.encode(z, params)
+        return T.softmax(M.classifier_logits(z, params), axis=-1).data
 
     def test_zero_positions_token_permutation_equivariant(self, tiny):
         params = random_params(tiny, seed=22)
@@ -608,8 +611,8 @@ class TestPositionSensitivity:
         rng = np.random.default_rng(15)
         tokens = rng.standard_normal((8, 32))
         perm = rng.permutation(8)
-        base = self._token_probs(tokens[None], params, tiny)
-        permuted = self._token_probs(tokens[perm][None], params, tiny)
+        base = self._token_probs(tokens[None], params)
+        permuted = self._token_probs(tokens[perm][None], params)
         assert np.abs(base - permuted).max() < 1e-5
 
     def test_nonzero_positions_break_permutation_invariance(self, tiny):
@@ -617,8 +620,8 @@ class TestPositionSensitivity:
         rng = np.random.default_rng(16)
         tokens = rng.standard_normal((8, 32))
         perm = np.array([1, 0, 3, 2, 5, 4, 7, 6])
-        base = self._token_probs(tokens[None], params, tiny)
-        permuted = self._token_probs(tokens[perm][None], params, tiny)
+        base = self._token_probs(tokens[None], params)
+        permuted = self._token_probs(tokens[perm][None], params)
         assert np.abs(base - permuted).max() > 1e-6
 
 

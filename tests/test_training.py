@@ -17,7 +17,8 @@ from volformer import model as M
 from volformer import tensor as T
 from volformer import training as TR
 from volformer.data import Volume, gen_synthetic
-from volformer.errors import ConfigError, DataError, DimensionError, NumericError
+from volformer.errors import (ConfigError, DataError, DimensionError, NumericError,
+                             UsageError)
 
 
 def synthetic_sets(tmp_path, n_train=4, n_val=2):
@@ -246,11 +247,33 @@ class TestTrainLoop:
             TR.train(params, cfg, train, [], TR.TrainConfig(epochs=1))
 
     def test_wrong_volume_shape_rejected(self, tmp_path):
-        cfg, train, val = synthetic_sets(tmp_path)
-        params = M.ModelParams.initialize(cfg, seed=0)
+        _, train, val = synthetic_sets(tmp_path)
         wide = tiny_config(width=12)
+        params = M.ModelParams.initialize(wide, seed=0)
         with pytest.raises(DimensionError, match="does not match configured input"):
             TR.train(params, wide, train, val, TR.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("override", [
+        dict(num_heads=4), dict(num_layers=1), dict(num_layers=3),
+        dict(layer_norm_eps=1e-5)], ids=["heads", "fewer-layers", "more-layers", "eps"])
+    def test_config_not_the_parameters_own_rejected(self, tmp_path, monkeypatch, override):
+        """The model runs with params.config; train, evaluate and
+        predict_probs refuse any other config before a chunk starts (a
+        different head count or eps gave another loss, a third layer a
+        KeyError)."""
+        cfg, train, val = synthetic_sets(tmp_path)
+        params = M.ModelParams.initialize(cfg, seed=0)
+        other = tiny_config(**override)
+        started = []
+        for name in ("_chunk_logits", "_chunk_gradient"):
+            monkeypatch.setattr(TR, name, lambda *args, name=name: started.append(name))
+        calls = [lambda: TR.train(params, other, train, val, TR.TrainConfig(epochs=1)),
+                 lambda: TR.evaluate(params, other, val),
+                 lambda: TR.predict_probs(params, other, val)]
+        for call in calls:
+            with pytest.raises(UsageError, match=next(iter(override))):
+                call()
+        assert started == []
 
     def test_partial_final_batch_kept(self, tmp_path):
         cfg, train, val = synthetic_sets(tmp_path, n_train=3, n_val=1)
@@ -327,8 +350,8 @@ class TestMicroBatches:
         bit."""
         config, params, voxels, labels, volumes = reference_volumes()
         for n in (1, 3, 33, 67, 72, 97, 128, 200):
-            logits = M.forward_logits(voxels[:n], params, config)
-            [(_, chunked)] = TR._batches(volumes[:n], params, config, n, "predict")
+            logits = M.forward_logits(voxels[:n], params)
+            [(_, chunked)] = TR._batches(volumes[:n], params, n, "predict")
             np.testing.assert_array_equal(chunked.data, logits.data, err_msg=f"n={n}")
             probs = T.softmax(logits).data
             np.testing.assert_array_equal(
@@ -351,7 +374,7 @@ class TestMicroBatches:
         config, params, voxels, labels, volumes = reference_volumes(n)
         passes, probs, loss_sum, correct = [], [], 0.0, 0
         for start in range(0, n, batch_size):
-            logits = M.forward_logits(voxels[start : start + batch_size], params, config)
+            logits = M.forward_logits(voxels[start : start + batch_size], params)
             passes.append(logits.data)
             batch_labels = labels[start : start + batch_size]
             probs.append(T.softmax(logits).data)
@@ -360,7 +383,7 @@ class TestMicroBatches:
             correct += int((M.predict_classes(logits.data) == batch_labels).sum())
         for workers in (1, 2, 3):
             pool_of(workers)
-            batches = list(TR._batches(volumes, params, config, batch_size, "predict"))
+            batches = list(TR._batches(volumes, params, batch_size, "predict"))
             assert len(batches) == len(passes)
             for (_, logits), expected in zip(batches, passes):
                 np.testing.assert_array_equal(logits.data, expected,
@@ -383,12 +406,12 @@ class TestMicroBatches:
         idx = rng.permutation(n)
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
-                M.forward_logits(voxels[idx], params, config), labels[idx])
+                M.forward_logits(voxels[idx], params), labels[idx])
         tape.backward(loss, params.tensors())
         whole = np.concatenate([grad.ravel() for grad in tape.grads])
 
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in idx]
-        loss_sum, chunked = TR._batch_gradient(params, config, volumes)
+        loss_sum, chunked = TR._batch_gradient(params, volumes)
         assert len(TR._chunks(n)) == 3
         assert np.linalg.norm(chunked - whole) <= 1e-12 * np.linalg.norm(whole)
         assert loss_sum / n == pytest.approx(float(loss.data), rel=1e-12)
@@ -405,10 +428,10 @@ class TestMicroBatches:
         labels = rng.integers(0, config.num_classes, size=n)
         with T.Tape() as tape:
             loss = T.softmax_cross_entropy(
-                M.forward_logits(voxels, params, config), labels)
+                M.forward_logits(voxels, params), labels)
         tape.backward(loss, params.tensors())
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
-        chunk_loss, grad = TR._chunk_gradient(volumes, params, config)
+        chunk_loss, grad = TR._chunk_gradient(volumes, params)
         assert len(TR._chunks(n, TR._SUB)) == 3
         assert chunk_loss == float(loss.data)
         assert grad.shape == params.flat.shape
@@ -428,7 +451,7 @@ class TestMicroBatches:
         params = M.ModelParams.initialize(config, seed=3)
         voxels = np.stack([v.voxels for v in train])
         labels = np.array([v.label for v in train])
-        log_probs = np.log(M.forward(voxels, params, config).data.astype(np.float64))
+        log_probs = np.log(T.softmax(M.forward_logits(voxels, params)).data.astype(np.float64))
         expected = -log_probs[np.arange(67), labels].mean()
         result = TR.train(params, config, train, train[:3],
                           TR.TrainConfig(epochs=1, batch_size=67, seed=1))
@@ -448,11 +471,11 @@ class TestInputPath:
         volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
                    for i in range(11)]
         # each sub-block's tokens are overwritten by the next, so keep copies
-        got = [(s, x.copy()) for s, x in TR._sub_blocks(volumes, params, config)]
+        got = [(s, x.copy()) for s, x in TR._sub_blocks(volumes, params)]
         assert [s for s, _ in got] == [slice(0, 8), slice(8, 11)]
         stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
         np.testing.assert_array_equal(np.concatenate([x for _, x in got]),
-                                      M.tokenize(stacked, config))
+                                      np.stack([M.tokenize(v, config) for v in stacked]))
         assert all(x.dtype == np.float32 for _, x in got)
 
     def test_predict_probs_holds_no_copy_of_the_set(self):
@@ -567,10 +590,10 @@ class TestWorkerPool:
         real = TR._chunk_logits
         finished = []
 
-        def first_chunk_last(chunk, params, config):
+        def first_chunk_last(chunk, params):
             if chunk[0] is volumes[0]:
                 time.sleep(0.3)
-            out = real(chunk, params, config)
+            out = real(chunk, params)
             finished.append(chunk[0].id)
             return out
 
@@ -607,7 +630,7 @@ class TestWorkerPool:
         pool_of(1)
         started = []
 
-        def chunk_call(chunk, params, config):
+        def chunk_call(chunk, params):
             started.append(chunk[0].id)
             if chunk[0] is volumes[0]:
                 raise NumericError("chunk 0 failed")
@@ -618,7 +641,7 @@ class TestWorkerPool:
             if chunk_fn == "_chunk_logits":
                 TR.predict_probs(params, config, volumes[:48], 8)  # 6 batches of 8
             else:
-                TR._batch_gradient(params, config, volumes)  # 6 chunks of 32
+                TR._batch_gradient(params, volumes)  # 6 chunks of 32
         TR._pool.submit(lambda: None).result(timeout=30)
         assert started[0] == "v0" and len(started) <= 2, started
 
@@ -630,7 +653,8 @@ class TestWorkerPool:
         voxels = np.random.default_rng(14).standard_normal((45,) + config.input_shape)
         volumes = [Volume(f"v{i}", 0, v) for i, v in enumerate(voxels)]
         np.testing.assert_allclose(TR.predict_probs(params, config, volumes, 40),
-                                   M.forward(voxels, params, config).data, rtol=0, atol=1e-12)
+                                   T.softmax(M.forward_logits(voxels, params)).data,
+                                   rtol=0, atol=1e-12)
 
     def test_inference_inside_an_open_tape_records_nothing(self):
         config, params, volumes = worker_sets(9)
@@ -673,20 +697,20 @@ class TestTrainingWorkers:
     def test_bit_identical_at_one_and_two_workers(self, pool_of, monkeypatch):
         config, params, volumes = worker_sets()  # chunks of 24, 24 and 19
         pool_of(1)
-        loss1, grad1 = TR._batch_gradient(params, config, volumes)
+        loss1, grad1 = TR._batch_gradient(params, volumes)
         pool_of(2)
         real = TR._chunk_gradient
         finished = []
 
-        def first_chunk_last(chunk, params, config):
+        def first_chunk_last(chunk, params):
             if chunk[0] is volumes[0]:
                 time.sleep(0.3)
-            out = real(chunk, params, config)
+            out = real(chunk, params)
             finished.append(chunk[0].id)
             return out
 
         monkeypatch.setattr(TR, "_chunk_gradient", first_chunk_last)
-        loss2, grad2 = TR._batch_gradient(params, config, volumes)
+        loss2, grad2 = TR._batch_gradient(params, volumes)
         assert finished == ["v24", "v48", "v0"]
         assert loss2 == loss1
         np.testing.assert_array_equal(grad2, grad1)
@@ -698,12 +722,12 @@ class TestTrainingWorkers:
         config, params, volumes = worker_sets(41)
         volumes = volumes * 4  # 164 volumes: 6 chunks of 28 or 24
         pool_of(1)
-        want = TR._batch_gradient(params, config, volumes)
+        want = TR._batch_gradient(params, volumes)
         pool_of(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = TR._batch_gradient(params, config, volumes)
+            got = TR._batch_gradient(params, volumes)
         finally:
             sys.setswitchinterval(interval)
         assert got[0] == want[0]
@@ -738,12 +762,12 @@ class TestTrainingWorkers:
         spec.loader.exec_module(tracing)
         config, params, volumes = worker_sets()  # chunks of 24, 24 and 19
         pool_of(1)
-        want = TR._batch_gradient(params, config, volumes)
+        want = TR._batch_gradient(params, volumes)
         tracer = tracing.Tracer()
         tracer.install()
         try:
             with tracer.running(1):
-                got = TR._batch_gradient(params, config, volumes)
+                got = TR._batch_gradient(params, volumes)
         finally:
             tracer.uninstall()
         assert got[0] == want[0]
@@ -774,9 +798,9 @@ class TestTrainingWorkers:
                 tracemalloc.stop()
 
         chunk = peak(1, lambda: TR._pool.submit(
-            TR._chunk_gradient, volumes[:32], params, config).result())
+            TR._chunk_gradient, volumes[:32], params).result())
         gradient = params.flat.nbytes
-        one, two = (peak(n, lambda: TR._batch_gradient(params, config, volumes))
+        one, two = (peak(n, lambda: TR._batch_gradient(params, volumes))
                     for n in (1, 2))
         assert two - one <= chunk + gradient, ((two - one) / 2**20, chunk / 2**20)
 
@@ -789,13 +813,14 @@ class TestTrainingWorkers:
         config = M.ModelConfig()
         params = M.ModelParams.initialize(config, seed=0)
         rng = np.random.default_rng(16)
-        tokens = M.tokenize(rng.random((32,) + config.input_shape, dtype=np.float32), config)
-        z = T.Tensor(M.embed(tokens, params, config).data, requires_grad=True)
+        tokens = np.stack([M.tokenize(v, config) for v in
+                           rng.random((32,) + config.input_shape, dtype=np.float32)])
+        z = T.Tensor(M.embed(tokens, params).data, requires_grad=True)
         del tokens
         tracemalloc.start()
         try:
             with T.Tape() as tape:
-                logits = M.classifier_logits(M.encode(z, params, config), params, config)
+                logits = M.classifier_logits(M.encode(z, params), params)
                 T.softmax_cross_entropy(logits, np.arange(32) % config.num_classes)
             held = tracemalloc.get_traced_memory()[0]
         finally:
