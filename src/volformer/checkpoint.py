@@ -24,11 +24,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import struct
 
 import numpy as np
 
+from .data import write_file
 from .errors import CheckpointMismatchError, ConfigError, FormatError
 from .model import ModelConfig, ModelParams
 
@@ -48,11 +48,9 @@ def _config_json(config: ModelConfig) -> bytes:
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    """Write params (and their config) to a VVCK file.
-
-    The bytes go to a sibling temp file that then replaces `path`, so a
-    write that fails partway leaves any previous file at `path` intact.
-    """
+    """Write params (and their config) to a VVCK file, through
+    data.write_file: a write that fails partway leaves any previous file
+    at `path` intact and no temporary file behind."""
     named = params.named_parameters()
     blob = bytearray()
     blob += MAGIC
@@ -70,10 +68,7 @@ def save_checkpoint(path, params: ModelParams) -> None:
         for extent in arr.shape:
             blob += struct.pack("<I", extent)
         blob += arr.tobytes()
-    tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    write_file(path, blob)
 
 
 class _Reader:

@@ -5,6 +5,10 @@ overrides single keys and --seed overrides every seed at once. Progress
 goes to stderr, machine-readable results to stdout or files, and nothing
 is overwritten without --force.
 
+Every output file (volume, manifest, checkpoint, history, report,
+predictions) goes through data.write_file, so it lands whole or not at
+all; an output path that exists but is not a regular file is refused.
+
 Exit codes: 0 success, 1 invalid configuration or usage, 2 I/O or
 dataset-level failure (including overwrite refusals), 3 checkpoint/config
 mismatch.
@@ -194,16 +198,16 @@ def _progress(args, message: str) -> None:
 
 
 def _refuse_existing(paths, force: bool, checkpoint_dir=None) -> None:
-    """Refuse, before any work, an output path that is empty or a directory,
-    whose directory is missing (other than checkpoint_dir, which the
-    command creates, and which must not be empty) or which exists (unless
-    force)."""
+    """Refuse, before any work, an output path that is empty or names an
+    existing non-regular file (a directory, a device), whose directory is
+    missing (other than checkpoint_dir, which the command creates, and
+    which must not be empty) or which exists (unless force)."""
     if checkpoint_dir == "":
         raise NotADirectoryError("paths.checkpoint_dir is empty; it must name the "
                                  "directory to write checkpoints into")
     made = os.path.normpath(checkpoint_dir) if checkpoint_dir else None
     for p in paths:
-        if not p or os.path.isdir(p):
+        if not p or (os.path.exists(p) and not os.path.isfile(p)):
             raise IsADirectoryError(f"output path '{p}' names no file")
         parent = os.path.normpath(os.path.dirname(p) or ".")
         if parent != made and not os.path.isdir(parent):
@@ -236,9 +240,7 @@ def _save_manifest(manifest, path) -> None:
 
 
 def _write_report(rep, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rep.to_dict(), fh, indent=2)
-        fh.write("\n")
+    data.write_file(path, json.dumps(rep.to_dict(), indent=2) + "\n")
 
 
 def _load_manifest(run: RunConfig):
@@ -458,15 +460,14 @@ def cmd_predict(run: RunConfig, args) -> int:
     names = _class_names(config.num_classes)
     probs = training.predict_probs(params, config, volumes, run.train.batch_size)
     preds = model.predict_classes(probs)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for path, row, pred in zip(paths, probs, preds):
-            record = {"path": path, "probabilities": [float(p) for p in row],
-                      "predicted": int(pred), "class_name": names[int(pred)]}
-            sink.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+    lines = "".join(
+        json.dumps({"path": path, "probabilities": [float(p) for p in row],
+                    "predicted": int(pred), "class_name": names[int(pred)]}) + "\n"
+        for path, row, pred in zip(paths, probs, preds))
+    if args.out:
+        data.write_file(args.out, lines)
+    else:
+        sys.stdout.write(lines)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ manifest's own directory.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -57,15 +58,36 @@ class Volume:
 # ---------------------------------------------------------------------------
 
 
+def write_file(path, content) -> None:
+    """Write content (bytes, or text as UTF-8) to path whole or not at all.
+
+    The bytes go to a new sibling `<target>.<12 hex digits>.tmp`, made
+    with open()'s mode under the umask, which then replaces the target
+    (path, or the file it links to). Any failure, an interrupt included,
+    removes that file, so no other is touched and none is left torn.
+    Nothing is fsynced: a dying process or a full disk is covered, a
+    power loss is not."""
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(content)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_volume(volume: Volume, path) -> None:
     voxels = np.ascontiguousarray(volume.voxels, dtype="<f4")
     if voxels.ndim != 4:
         raise FormatError(f"volume must be rank 4, got rank {voxels.ndim}")
-    header = VVOL_MAGIC + struct.pack("<HBB", VVOL_VERSION, VVOL_DTYPE_F32, 4)
-    header += struct.pack("<4I", *voxels.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(voxels.tobytes())
+    header = VVOL_MAGIC + struct.pack("<HBB4I", VVOL_VERSION, VVOL_DTYPE_F32, 4, *voxels.shape)
+    write_file(path, b"".join([header, voxels]))  # one copy of the voxels
 
 
 def read_volume(path, label: int = 0, subject_id: Optional[str] = None,
@@ -227,9 +249,7 @@ class DatasetManifest:
         return os.path.join(self.base_dir, entry.path)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps(asdict(e)) + "\n")
+        write_file(path, "".join(json.dumps(asdict(e)) + "\n" for e in self.entries))
 
     @classmethod
     def load(cls, path, class_names: Sequence[str] = DEFAULT_CLASS_NAMES

@@ -177,6 +177,9 @@ class ModelParams:
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
+        if flat.shape != (count_params(config),):
+            raise UsageError(f"flat parameter vector of shape {flat.shape}; the config "
+                             f"has {count_params(config)} parameters")
         self.config = config
         self.flat = flat
         self._arrays = {}
@@ -265,19 +268,8 @@ class ModelParams:
 def embed(tokens: np.ndarray, params: ModelParams) -> T.Tensor:
     """Project [B, N, token_width] tokens to the embedding space and add
     positional rows."""
-    config = params.config
     if tokens.ndim != 3:
         raise DimensionError(f"tokens must be rank 3 [B, N, width], got rank {tokens.ndim}")
-    if tokens.shape[-1] != config.token_width:
-        raise DimensionError(
-            f"token width {tokens.shape[-1]} does not match embedding input "
-            f"{config.token_width}"
-        )
-    if tokens.shape[1] != token_grid(config).total:
-        raise DimensionError(
-            f"got {tokens.shape[1]} tokens, positional table holds "
-            f"{token_grid(config).total}"
-        )
     weight = params["embed.weight"]
     x = T.Tensor(tokens.astype(weight.dtype, copy=False))
     return T.linear(x, weight, params["embed.bias"], addend=params["pos_embed"])
@@ -288,15 +280,9 @@ def mhsa(x: T.Tensor, params: ModelParams, prefix: str,
     """Multi-head self-attention of the block at `prefix` over x [B, N, d]:
     per-head attention, concat, output projection, plus residual when
     given."""
-    config = params.config
-    if x.shape[-1] != config.embed_dim:
-        raise ConfigError(
-            f"input width {x.shape[-1]} does not match embed_dim {config.embed_dim} "
-            f"({config.num_heads} heads of {config.head_dim})"
-        )
     q, k, v = (T.linear(x, params[f"{prefix}attn.{name}_weight"],
                         params[f"{prefix}attn.{name}_bias"]) for name in "qkv")
-    heads = T.attention(q, k, v, config.num_heads, attn_sink)
+    heads = T.attention(q, k, v, params.config.num_heads, attn_sink)
     return T.linear(heads, params[prefix + "attn.out_weight"],
                     params[prefix + "attn.out_bias"], addend=residual)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Optional, Sequence
@@ -15,7 +14,7 @@ import numpy as np
 from . import model as M
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .data import Volume
+from .data import Volume, write_file
 from .errors import (ConfigError, DataError, DimensionError, NumericError,
                      UsageError, require_field_types)
 from .rng import Rng, derive_seed
@@ -319,8 +318,9 @@ def train(params: M.ModelParams, config: M.ModelConfig,
 
     The history file at history_path is JSONL, one {"epoch",
     "train_loss", "val_loss", "val_acc", "checkpointed"} record per
-    epoch, written and flushed as the epoch ends (before on_epoch), so a
-    run that stops early leaves the rows of every finished epoch.
+    epoch, rewritten whole by data.write_file as each epoch ends (before
+    on_epoch), so a run that stops early leaves exactly the rows of every
+    finished epoch, never a partial line.
     """
     if not train_set or not val_set:
         raise DataError("train and validation sets must be non-empty")
@@ -332,37 +332,34 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     best = float("inf") if minimize else float("-inf")
     result = TrainResult()
     shuffled = list(train_set)  # reshuffled in place each epoch
-    sink = (open(history_path, "w", encoding="utf-8") if history_path is not None
-            else nullcontext())
-    with sink as history:
-        for epoch in range(1, cfg.epochs + 1):
-            shuffle_rng.shuffle(shuffled)
-            epoch_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                loss_sum, grad = _batch_gradient(
-                    params, shuffled[start : start + cfg.batch_size])
-                epoch_loss += loss_sum
-                adam_step(params, grad, state, cfg)
-            val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
-            metric = val_loss if minimize else val_acc
-            improved = metric < best if minimize else metric > best
-            if improved:
-                best = metric
-                result.best_epoch = epoch
-                result.best_value = metric
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, params)
-            row = {
-                "epoch": epoch,
-                "train_loss": epoch_loss / n,
-                "val_loss": val_loss,
-                "val_acc": val_acc,
-                "checkpointed": bool(improved and checkpoint_path is not None),
-            }
-            result.history.append(row)
-            if history is not None:
-                history.write(json.dumps(row) + "\n")
-                history.flush()
-            if on_epoch is not None:
-                on_epoch(row)
+    history = ""  # the text of history_path, rewritten whole each epoch
+    for epoch in range(1, cfg.epochs + 1):
+        shuffle_rng.shuffle(shuffled)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            loss_sum, grad = _batch_gradient(params, shuffled[start : start + cfg.batch_size])
+            epoch_loss += loss_sum
+            adam_step(params, grad, state, cfg)
+        val_loss, val_acc = evaluate(params, config, val_set, cfg.batch_size)
+        metric = val_loss if minimize else val_acc
+        improved = metric < best if minimize else metric > best
+        if improved:
+            best = metric
+            result.best_epoch = epoch
+            result.best_value = metric
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, params)
+        row = {
+            "epoch": epoch,
+            "train_loss": epoch_loss / n,
+            "val_loss": val_loss,
+            "val_acc": val_acc,
+            "checkpointed": bool(improved and checkpoint_path is not None),
+        }
+        result.history.append(row)
+        if history_path is not None:
+            history += json.dumps(row) + "\n"
+            write_file(history_path, history)
+        if on_epoch is not None:
+            on_epoch(row)
     return result

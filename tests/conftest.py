@@ -1,5 +1,8 @@
 import json
+import os
+import resource
 import struct
+import subprocess
 import sys
 
 import pytest
@@ -12,10 +15,13 @@ import volformer.cli  # noqa: E402,F401
 
 import numpy as np  # noqa: E402
 
+import volformer  # noqa: E402
 from volformer import tensor as T  # noqa: E402
 from volformer.model import (ModelConfig, ModelParams, count_params,  # noqa: E402
                              parameter_shapes)
 from volformer.rng import Rng  # noqa: E402
+
+SRC_DIR = os.path.dirname(os.path.dirname(volformer.__file__))
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -70,6 +76,29 @@ def set_config_keys(path, **values) -> None:
     encoded = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(blob[:6] + struct.pack("<I", len(encoded)) + encoded
                      + blob[10 + length:])
+
+
+def run_fresh(*args, script="import runpy; runpy.run_module('volformer', run_name='__main__')",
+              cpus=None, text=True, file_size_limit=None, cwd=None):
+    """Run `python -m volformer *args`, or another -c script, in a fresh
+    interpreter that imports this checkout's volformer. With cpus, the
+    script first pins itself to the first cpus CPUs it may use, before
+    volformer sets up its worker pool. With file_size_limit, the child
+    alone runs under that RLIMIT_FSIZE in bytes, so a write past it fails
+    with EFBIG (Python ignores SIGXFSZ)."""
+    if cpus is not None:
+        script = ("import os\n"
+                  f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
+                  + script)
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (file_size_limit, file_size_limit))
+
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                          capture_output=True, text=text, timeout=120,
+                          preexec_fn=None if file_size_limit is None else limit_file_size)
 
 
 @pytest.fixture

@@ -3,19 +3,17 @@
 import hashlib
 import json
 import os
+import pathlib
+import re
+import signal
 import struct
-import subprocess
-import sys
 import textwrap
 
 import numpy as np
 import pytest
 
-from conftest import set_config_keys
-import volformer
+from conftest import run_fresh, set_config_keys
 from volformer.cli import main
-
-SRC_DIR = os.path.dirname(os.path.dirname(volformer.__file__))
 
 TINY_MODEL = {"slices": 4, "height": 8, "width": 8, "channels": 1,
               "patch_slices": 2, "patch_height": 4, "patch_width": 4,
@@ -41,22 +39,6 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
-
-
-def run_fresh(*args, script="import runpy; runpy.run_module('volformer', run_name='__main__')",
-              cpus=None, text=True):
-    """Run `python -m volformer *args`, or another -c script, in a fresh
-    interpreter that imports this checkout's volformer. With cpus, the
-    script first pins itself to the first cpus CPUs it may use, before
-    volformer sets up its worker pool."""
-    if cpus is not None:
-        script = ("import os\n"
-                  f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
-                  + script)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=text, timeout=120)
 
 
 def checksum_dir(path):
@@ -435,8 +417,10 @@ class TestTrainEvalPredict:
 
     def test_outputs_naming_no_file_refused_before_any_work(self, synth_env, capsys,
                                                            monkeypatch):
-        """An empty output path, or one that is a directory, is refused
-        with exit 2 before any work, with --force too."""
+        """An empty output path, or one that names an existing file that is
+        not a regular file (a directory, a FIFO), is refused with exit 2
+        before any work, with --force too: a rename over a FIFO would
+        replace it, not write through it."""
         from volformer.checkpoint import save_checkpoint
         from volformer.model import ModelConfig, ModelParams
         import volformer.training as TR
@@ -451,14 +435,18 @@ class TestTrainEvalPredict:
 
         monkeypatch.setattr(TR, "predict_probs", fail)
         monkeypatch.setattr(TR, "train", fail)
+        os.mkfifo(tmp_path / "fifo")
         before = sorted(os.listdir(tmp_path))
-        for path in ("", str(tmp_path)):
+        for path in ("", str(tmp_path), str(tmp_path / "fifo")):
             for command in (["eval"], ["cv", "--set", "split.folds=3"]):
                 assert main([*command, "--config", str(cfg), "--quiet", "--force",
                              "--set", f"paths.report={path}"]) == 2, (command, path)
             assert main(["train", "--config", str(cfg), "--quiet", "--force",
                          "--set", f"paths.history={path}"]) == 2, path
-        assert capsys.readouterr().err.count("names no file") == 6
+            if path:  # an empty --out means stdout
+                assert main(["predict", "--config", str(cfg), "--quiet", "--force",
+                             "--out", path]) == 2, path
+        assert capsys.readouterr().err.count("names no file") == 11
         assert sorted(os.listdir(tmp_path)) == before
         assert os.listdir(tmp_path / "ckpt") == ["model.vvck"]
 
@@ -625,6 +613,194 @@ class TestCrossValidation:
         assert main(["cv", "--config", str(cfg), "--quiet",
                      "--set", "split.stratify_by=subject"]) == 2
         assert calls == [("folds", True), ("carve", True)]
+
+
+# each pipeline command and its arguments, in the order one run makes them
+PIPELINE = {
+    "synth": ["synth"],
+    "preprocess": ["preprocess"],
+    "train": ["train"],
+    "eval": ["eval"],
+    "predict": ["predict", "--out", "p.jsonl"],
+    "cv": ["cv", "--set", "paths.report=cv.json"],
+}
+
+# Kills its own process at the n-th os.replace, n the first argument, before
+# the rename happens; the other arguments go to the volformer command.
+KILL_AT_REPLACE = textwrap.dedent("""
+    import os, runpy, signal, sys
+    n = int(sys.argv.pop(1))
+    calls = 0
+    replace = os.replace
+
+    def replace_or_die(src, dst):
+        global calls
+        calls += 1
+        if calls == n:
+            os.kill(os.getpid(), signal.SIGKILL)
+        replace(src, dst)
+
+    os.replace = replace_or_die
+    runpy.run_module("volformer", run_name="__main__")
+""")
+
+
+def file_tree(root) -> dict[str, bytes]:
+    """Every file under root, by path relative to it, with its bytes."""
+    return {os.path.relpath(os.path.join(top, name), root):
+            pathlib.Path(top, name).read_bytes()
+            for top, _, names in os.walk(root) for name in names}
+
+
+def lay_out(root, tree) -> None:
+    for rel, blob in tree.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(blob)
+
+
+def assert_absent_or_whole(root, before, written, stray=False) -> None:
+    """Every file under root is an input as it was before the command, or
+    an output as an undisturbed run wrote it at some point (`written`
+    holds each output's versions); with stray, a file may also be the
+    writer's temporary <output>.<12 hex digits>.tmp."""
+    tree = file_tree(root)
+    assert set(before) <= set(tree)
+    for rel, blob in tree.items():
+        temp = re.fullmatch(r"(.+)\.[0-9a-f]{12}\.tmp", rel)
+        if stray and temp and temp[1] in written:
+            continue
+        if rel in before:
+            assert blob == before[rel], f"input '{rel}' changed"
+        else:
+            assert rel in written, f"'{rel}' is no output of an undisturbed run"
+            assert blob in written[rel], f"'{rel}' is not whole"
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """{command: (file tree before it, file tree after it, every version
+    of each output it wrote)} of one undisturbed tiny run of the whole
+    pipeline, paths relative to its directory, so the trees can be laid out
+    anywhere. An output rewritten during the command (a best checkpoint, the
+    history) has a version per rename, and its final bytes."""
+    root = tmp_path_factory.mktemp("pipeline")
+    write_config(root, split={"folds": 3}, paths={
+        "manifest": "manifest.jsonl", "data_dir": "data", "out_dir": "processed",
+        "checkpoint_dir": "ckpt", "report": "report.json", "history": "history.jsonl"})
+    renamed = []
+    replace = os.replace
+
+    def replace_and_record(src, dst):
+        replace(src, dst)
+        renamed.append((os.path.relpath(os.path.realpath(dst), os.path.realpath(root)),
+                        pathlib.Path(dst).read_bytes()))
+
+    trees = {}
+    cwd = os.getcwd()
+    os.chdir(root)
+    os.replace = replace_and_record
+    try:
+        for command, argv in PIPELINE.items():
+            before = file_tree(root)
+            renamed.clear()
+            assert main([*argv, "--config", "cfg.json", "--quiet"]) == 0, command
+            after = file_tree(root)
+            written = {rel: [blob] for rel, blob in after.items() if rel not in before}
+            for rel, blob in renamed:
+                written[rel].append(blob)
+            trees[command] = before, after, written
+    finally:
+        os.replace = replace
+        os.chdir(cwd)
+    return trees
+
+
+class TestWholeOutputs:
+    """Every output file lands whole or not at all (data.write_file)."""
+
+    @pytest.mark.parametrize("command", list(PIPELINE))
+    def test_file_size_limit_leaves_outputs_absent_or_whole(self, pipeline, tmp_path,
+                                                            monkeypatch, capsys, command):
+        """Under an RLIMIT_FSIZE below half the smallest output and just
+        below each output's size, the command exits 2 and leaves no torn
+        file. A rerun without --force succeeds with the undisturbed bytes, or
+        refuses only whole outputs."""
+        before, after, written = pipeline[command]
+        sizes = sorted({len(after[rel]) for rel in written})
+        argv = [*PIPELINE[command], "--config", "cfg.json", "--quiet"]
+        for limit in sorted({sizes[0] // 2, *(size - 1 for size in sizes)}):
+            root = tmp_path / str(limit)
+            lay_out(root, before)
+            done = run_fresh(*argv, file_size_limit=limit, cwd=root)
+            assert done.returncode == 2, (limit, done.stderr)
+            assert "File too large" in done.stderr and "Traceback" not in done.stderr
+            assert_absent_or_whole(root, before, written)
+            monkeypatch.chdir(root)
+            code = main(argv)
+            if code == 0:
+                assert file_tree(root) == after
+            else:
+                assert code == 2 and "refusing" in capsys.readouterr().err, limit
+                assert_absent_or_whole(root, before, written)
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "cv"])
+    def test_sigkill_at_a_rename_leaves_outputs_absent_or_whole(self, pipeline, tmp_path,
+                                                                command):
+        """Killed by SIGKILL at its first, second and third rename, the
+        command leaves every output absent or whole; a stray file can only
+        be the writer's temporary <output>.<12 hex digits>.tmp."""
+        before, _, written = pipeline[command]
+        for n in (1, 2, 3):
+            root = tmp_path / str(n)
+            lay_out(root, before)
+            done = run_fresh(str(n), *PIPELINE[command], "--config", "cfg.json", "--quiet",
+                             script=KILL_AT_REPLACE, cwd=root)
+            assert done.returncode == -signal.SIGKILL, (n, done.stderr)
+            assert_absent_or_whole(root, before, written, stray=True)
+
+    def test_train_keeps_a_users_tmp_file(self, pipeline, tmp_path, monkeypatch):
+        before, after, _ = pipeline["train"]
+        lay_out(tmp_path, before)
+        (tmp_path / "ckpt").mkdir()
+        (tmp_path / "ckpt" / "model.vvck.tmp").write_bytes(b"the user's own")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "cfg.json", "--quiet", "--force"]) == 0
+        assert (tmp_path / "ckpt" / "model.vvck.tmp").read_bytes() == b"the user's own"
+        assert (tmp_path / "ckpt" / "model.vvck").read_bytes() == after["ckpt/model.vvck"]
+
+    @pytest.mark.parametrize("command, output", [
+        ("predict", "p.jsonl"), ("eval", "report.json"), ("train", "ckpt/model.vvck")])
+    def test_symlinked_output_keeps_its_link(self, pipeline, tmp_path, monkeypatch,
+                                             command, output):
+        """The file the link names gets the new bytes; the link stays."""
+        before, after, _ = pipeline[command]
+        lay_out(tmp_path, before)
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere" / "kept").write_bytes(b"old")
+        (tmp_path / output).parent.mkdir(exist_ok=True)
+        (tmp_path / output).symlink_to(tmp_path / "elsewhere" / "kept")
+        monkeypatch.chdir(tmp_path)
+        assert main([*PIPELINE[command], "--config", "cfg.json", "--quiet", "--force"]) == 0
+        assert os.readlink(tmp_path / output) == str(tmp_path / "elsewhere" / "kept")
+        assert (tmp_path / "elsewhere" / "kept").read_bytes() == after[output]
+
+    @pytest.mark.parametrize("command", list(PIPELINE))
+    def test_output_mode_is_a_plain_opens(self, pipeline, tmp_path, monkeypatch, command):
+        """Under umask 027, each new output has the mode open() gives a new
+        file under that umask (0640), not a private temporary file's."""
+        before, _, written = pipeline[command]
+        lay_out(tmp_path, before)
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(0o027)
+        try:
+            assert main([*PIPELINE[command], "--config", "cfg.json", "--quiet"]) == 0
+            with open("opened", "w"):
+                pass
+        finally:
+            os.umask(old)
+        expected = os.stat("opened").st_mode
+        for rel in written:
+            assert os.stat(rel).st_mode == expected, rel
 
 
 class TestConfigHandling:

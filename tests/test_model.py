@@ -1,6 +1,7 @@
 """Tests for tokenization, the attention encoder, the head, and checkpoints."""
 
 import math
+import os
 import struct
 import time
 
@@ -137,6 +138,14 @@ class TestParameterLayout:
         _, arrays = read_raw_checkpoint(tmp_path / "m.vvck")
         np.testing.assert_array_equal(
             np.concatenate([a.ravel() for a in arrays.values()]), params.flat)
+
+    @pytest.mark.parametrize("shape", [(2115 + 7,), (100,), (2114,), (1, 2115), (2115, 1)])
+    def test_flat_of_the_wrong_shape_rejected(self, tiny, shape):
+        """A vector too long, too short or not 1-D is refused, naming its
+        shape and the config's parameter count."""
+        assert M.count_params(tiny) == 2115
+        with pytest.raises(UsageError, match=rf"shape \({shape[0]},.*2115 parameters"):
+            M.ModelParams(tiny, np.zeros(shape, np.float32))
 
 
 class TestExtractTubelets:
@@ -405,7 +414,7 @@ class TestMhsa:
 
     def test_wrong_width_rejected(self, tiny):
         params = random_params(tiny, seed=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(DimensionError):
             M.mhsa(T.Tensor(np.zeros((1, 4, 5))), params, "layers.0.")
 
 
@@ -764,7 +773,9 @@ class TestCheckpointFormat:
             read_raw_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tiny, tmp_path, monkeypatch):
-        import volformer.checkpoint as CK
+        """A write torn by a full disk leaves the previous file, and removes
+        its temporary file."""
+        import volformer.data as D
 
         path = tmp_path / "best.vvck"
         save_checkpoint(path, M.ModelParams.initialize(tiny, seed=1))
@@ -786,11 +797,12 @@ class TestCheckpointFormat:
                 self.fh.write(data[: len(data) // 2])
                 raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(CK, "open", lambda *a, **k: TornFile(open(*a, **k)),
+        monkeypatch.setattr(D, "open", lambda *a, **k: TornFile(open(*a, **k)),
                             raising=False)
         with pytest.raises(OSError):
             save_checkpoint(path, M.ModelParams.initialize(tiny, seed=2))
         assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["best.vvck"]
 
     def test_config_mismatch_names_first_array(self, tiny, tmp_path):
         path = tmp_path / "f.vvck"
