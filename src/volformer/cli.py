@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_MISMATCH = 3
+# cv lists a report and a checkpoint path per fold of each repetition
+# before it trains any, so --repeats is bounded before those lists exist.
+MAX_REPEATS = 1000
 
 _THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
@@ -396,8 +399,9 @@ def cmd_eval(run: RunConfig, args) -> int:
 
 
 def cmd_cv(run: RunConfig, args) -> int:
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
+    if not 1 <= args.repeats <= MAX_REPEATS:
+        raise UsageError(
+            f"--repeats must be >= 1 and <= {MAX_REPEATS}, got {args.repeats}")
     k = run.split.folds
     _refuse_existing([run.paths.report], args.force, checkpoint_dir=run.paths.checkpoint_dir)
     # the folds are cut before the k per-fold paths are listed, so a k larger
@@ -543,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cv", parents=[common],
                        help="repeated stratified k-fold cross-validation")
-    p.add_argument("--repeats", type=int, default=1, metavar="R")
+    p.add_argument("--repeats", type=int, default=1, metavar="R",
+                   help=f"repetitions of the k folds, 1 to {MAX_REPEATS} (default 1)")
     p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("predict", parents=[common],

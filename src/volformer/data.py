@@ -5,9 +5,12 @@ Volumes live in VVOL files (all integers little-endian):
     magic   4 bytes  b"VVOL"
     version u16      currently 1
     dtype   u8       0 = 32-bit little-endian float
-    rank    u8       always 4
-    extents 4 x u32  T, H, W, C
-    data    T*H*W*C  float32, row-major (C fastest)
+    array   one array record of rank 4: extents T, H, W, C (C fastest)
+
+An array record, which VVOL and VVCK files share (README, "File
+formats"), is a u8 rank, rank u32 extents (none zero), then the
+row-major float32 data. `_array_record` writes one and `_Reader.array`
+reads one.
 
 Datasets are described by JSON-lines manifests with one record per scan:
 {"path": str, "label": 0|1|2, "subject_id": str|null,
@@ -82,42 +85,79 @@ def write_file(path, content) -> None:
         raise
 
 
+def _array_record(arr) -> bytes:
+    """arr as an array record: a u8 rank, rank u32 extents, then its
+    row-major float32 LE data."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    return b"".join([struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr])
+
+
+class _Reader:
+    """A cursor over the bytes of a VVOL or VVCK file, which it reads
+    whole and whose magic it checks. A read past the end, like every
+    other fault it finds, is a FormatError naming a byte offset."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as fh:
+            self.buf = memoryview(fh.read())
+        self.path = path
+        self.offset = 0
+        found = bytes(self.take(len(magic), "magic"))
+        if found != magic:
+            raise FormatError(
+                f"{path}: bad magic at byte 0: expected {magic!r}, got {found!r}")
+
+    def take(self, n: int, what: str) -> memoryview:
+        remain = len(self.buf) - self.offset
+        if n > remain:
+            raise FormatError(f"{self.path}: truncated reading {what} at byte "
+                              f"{self.offset}: {remain} bytes, expected {n}")
+        self.offset += n
+        return self.buf[self.offset - n : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, what: str, max_rank: int) -> np.ndarray:
+        """The array record at the cursor, as a new writable float32 array."""
+        at = self.offset
+        (rank,) = self.unpack("<B", f"rank of {what}")
+        shape = self.unpack(f"<{rank}I", f"extents of {what}")
+        n = math.prod(shape)  # Python ints: no int64 wrap to 0
+        if n == 0 or rank > max_rank:
+            raise FormatError(f"{self.path}: {what} at byte {at} has a zero extent "
+                              f"or over {max_rank} axes: shape {shape}")
+        data = np.frombuffer(self.take(4 * n, f"data of {what}"), dtype="<f4")
+        return data.reshape(shape).astype(np.float32)
+
+    def end(self) -> None:
+        if self.offset != len(self.buf):
+            raise FormatError(f"{self.path}: {len(self.buf) - self.offset} trailing "
+                              f"bytes after byte {self.offset}")
+
+
 def write_volume(volume: Volume, path) -> None:
     voxels = np.ascontiguousarray(volume.voxels, dtype="<f4")
     if voxels.ndim != 4:
         raise FormatError(f"volume must be rank 4, got rank {voxels.ndim}")
-    header = VVOL_MAGIC + struct.pack("<HBB4I", VVOL_VERSION, VVOL_DTYPE_F32, 4, *voxels.shape)
-    write_file(path, b"".join([header, voxels]))  # one copy of the voxels
+    header = VVOL_MAGIC + struct.pack("<HB", VVOL_VERSION, VVOL_DTYPE_F32)
+    write_file(path, header + _array_record(voxels))
 
 
 def read_volume(path, label: int = 0, subject_id: Optional[str] = None,
                 volume_id: Optional[str] = None) -> Volume:
     """Read a VVOL file; label/subject come from the caller (the manifest)."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if len(buf) < 24:
-        raise FormatError(f"{path}: header truncated at byte {len(buf)}, need 24 bytes")
-    if buf[:4] != VVOL_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic at byte 0: expected {VVOL_MAGIC!r}, got {buf[:4]!r}"
-        )
-    version, dtype_tag, rank = struct.unpack("<HBB", buf[4:8])
+    r = _Reader(path, VVOL_MAGIC)
+    version, dtype_tag, rank = r.unpack("<HBB", "header")
     if version != VVOL_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte 4")
     if dtype_tag != VVOL_DTYPE_F32:
         raise FormatError(f"{path}: unsupported dtype tag {dtype_tag} at byte 6")
     if rank != 4:
         raise FormatError(f"{path}: rank must be 4, got {rank} at byte 7")
-    extents = struct.unpack("<4I", buf[8:24])
-    if any(e == 0 for e in extents):
-        raise FormatError(f"{path}: zero extent in header at byte 8: {extents}")
-    expected = 4 * math.prod(extents)  # Python ints: no int64 wrap to 0
-    payload = buf[24:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload at byte 24 has {len(payload)} bytes, expected {expected}"
-        )
-    voxels = np.frombuffer(payload, dtype="<f4").reshape(extents).astype(np.float32)
+    r.offset -= 1  # the rank byte opens the array record
+    voxels = r.array("voxels", max_rank=4)
+    r.end()
     name = volume_id if volume_id is not None else os.path.splitext(os.path.basename(path))[0]
     return Volume(id=name, label=label, voxels=voxels, subject_id=subject_id)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -71,6 +71,12 @@ class ModelConfig:
             raise ConfigError("layer_norm_eps must be positive")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+
+    def differing_fields(self, other) -> list[str]:
+        """Names of the fields whose values differ from other's, in field
+        order; other may be any object (a field it lacks differs)."""
+        return [f.name for f in fields(self)
+                if getattr(other, f.name, None) != getattr(self, f.name)]
 
     @property
     def head_dim(self) -> int:

@@ -8,9 +8,9 @@ on the tape: no tensor is written, so tapes on several threads may record
 onto the same leaves. Without an active tape the same ops run as plain
 numpy (inference mode).
 
-Float32 is the training precision; float64 is used by the
-finite-difference oracle. Mixing the two in one op is an error so
-precision downgrades cannot happen silently.
+Float32 is the training precision; float64 is used by the tests'
+finite-difference oracle (tests/gradcheck.py). Mixing the two in one op
+is an error so precision downgrades cannot happen silently.
 """
 
 from __future__ import annotations
@@ -148,17 +148,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and structural ops
+# linear maps and reductions
 # ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes(a, b)
-    try:
-        out = a.data + b.data
-    except ValueError as exc:
-        raise DimensionError(f"add: cannot broadcast {a.shape} with {b.shape}") from exc
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
@@ -207,15 +198,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
         return dx, dw, db, _unbroadcast(g, addend.shape) if addend.requires_grad else None
 
     return _record(out, inputs, vjp)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as exc:
-        raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -401,41 +383,3 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         return (g * p / batch,)
 
     return _record(out, (logits,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# verification oracle
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_check(f: Callable[[Tensor], Tensor], point, step: float = 1e-5) -> float:
-    """Max relative error between backward() and central differences.
-
-    f must map one tensor to a scalar. The check always runs in double
-    precision; the relative error denominator is floored at 1e-8. This
-    path never consults the vjp rules it is checking: the numeric side
-    is plain re-evaluation of f at perturbed points.
-    """
-    base = point.data if isinstance(point, Tensor) else np.asarray(point)
-    x = Tensor(np.array(base, dtype=np.float64), requires_grad=True)
-    with Tape() as tape:
-        out = f(x)
-    if out.data.size != 1:
-        raise UsageError("finite_difference_check needs a scalar-valued f")
-    tape.backward(out, [x])
-    analytic = tape.grads[0]
-
-    numeric = np.empty_like(x.data)
-    flat = x.data.reshape(-1)
-    numeric_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        original = flat[i]
-        flat[i] = original + step
-        f_plus = float(f(x).data)
-        flat[i] = original - step
-        f_minus = float(f(x).data)
-        flat[i] = original
-        numeric_flat[i] = (f_plus - f_minus) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -92,7 +92,7 @@ def _check_inputs(params: M.ModelParams, config: M.ModelConfig,
     layer reads, and then DimensionError naming the first volume whose
     shape is not the configured input shape."""
     if config != params.config:
-        differ = [k for k, v in vars(params.config).items() if getattr(config, k, None) != v]
+        differ = params.config.differing_fields(config)
         raise UsageError(f"config differs from the parameters' own in {', '.join(differ)}")
     for volume in volumes:
         if volume.voxels.shape != config.input_shape:

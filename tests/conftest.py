@@ -16,6 +16,7 @@ import volformer.cli  # noqa: E402,F401
 import numpy as np  # noqa: E402
 
 import volformer  # noqa: E402
+from gradcheck import reshape  # noqa: E402
 from volformer import tensor as T  # noqa: E402
 from volformer.model import (ModelConfig, ModelParams, count_params,  # noqa: E402
                              parameter_shapes)
@@ -63,7 +64,7 @@ def project(t: T.Tensor, c) -> T.Tensor:
     to ()."""
     column = np.asarray(c, dtype=t.dtype).reshape(t.size, 1)
     zero = T.Tensor(np.zeros(1, t.dtype))
-    return T.reshape(T.linear(T.reshape(t, (1, t.size)), T.Tensor(column), zero), ())
+    return reshape(T.linear(reshape(t, (1, t.size)), T.Tensor(column), zero), ())
 
 
 def set_config_keys(path, **values) -> None:
@@ -79,26 +80,32 @@ def set_config_keys(path, **values) -> None:
 
 
 def run_fresh(*args, script="import runpy; runpy.run_module('volformer', run_name='__main__')",
-              cpus=None, text=True, file_size_limit=None, cwd=None):
+              cpus=None, text=True, file_size_limit=None, address_space_limit=None,
+              cwd=None):
     """Run `python -m volformer *args`, or another -c script, in a fresh
     interpreter that imports this checkout's volformer. With cpus, the
     script first pins itself to the first cpus CPUs it may use, before
     volformer sets up its worker pool. With file_size_limit, the child
     alone runs under that RLIMIT_FSIZE in bytes, so a write past it fails
-    with EFBIG (Python ignores SIGXFSZ)."""
+    with EFBIG (Python ignores SIGXFSZ). With address_space_limit, the
+    child alone runs under that RLIMIT_AS in bytes, so an allocation past
+    it raises MemoryError instead of growing until the machine kills it."""
     if cpus is not None:
         script = ("import os\n"
                   f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
                   + script)
+    limits = {resource.RLIMIT_FSIZE: file_size_limit, resource.RLIMIT_AS: address_space_limit}
+    limits = {kind: limit for kind, limit in limits.items() if limit is not None}
 
-    def limit_file_size():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (file_size_limit, file_size_limit))
+    def set_limits():
+        for kind, limit in limits.items():
+            resource.setrlimit(kind, (limit, limit))
 
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([SRC_DIR, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
                           capture_output=True, text=text, timeout=120,
-                          preexec_fn=None if file_size_limit is None else limit_file_size)
+                          preexec_fn=set_limits if limits else None)
 
 
 @pytest.fixture

@@ -15,15 +15,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["train_b128", "infer_b128"])
-def test_workload_runs_correctly_at_tiny_size(workload):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("train_b128", 0, id="train_b128"),
+    pytest.param("infer_b128", 0, id="infer_b128"),
+    pytest.param("train_b128", 1, id="train_b128-trace"),
+    pytest.param("infer_b128", 1, id="infer_b128-trace"),
+])
+def test_workload_runs_correctly_at_tiny_size(workload, trace):
     """About a second per workload: its last stdout line is the result,
-    which must be correct with no failed operation."""
+    which must be correct with no failed operation. Traced, the file
+    readers each workload calls must show in the per-layer metrics, so a
+    refactor cannot hide them from the tracer."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "tiny",
-         "--seed", "3", "--seconds", "0.5", "--trace", "0"],
+         "--seed", "3", "--seconds", "0.5", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, result
     assert result["attempted"] > 0 and result["failed"] == 0, result
+    if trace:
+        readers = ["data.read_volume.ms"]
+        if workload == "infer_b128":
+            readers.append("checkpoint.load_checkpoint.ms")
+        for name in readers:
+            assert result["metrics"][name]["value"] > 0, name

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import run_fresh, set_config_keys
-from volformer.cli import main
+from volformer.cli import MAX_REPEATS, main
 
 TINY_MODEL = {"slices": 4, "height": 8, "width": 8, "channels": 1,
               "patch_slices": 2, "patch_height": 4, "patch_width": 4,
@@ -580,6 +580,21 @@ class TestCrossValidation:
         assert "--repeats must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
         assert not list(tmp_path.glob("report*.json"))
+
+    def test_repeats_past_the_bound_exit_1_before_any_list(self, synth_env, capsys):
+        """--repeats 10**12 is refused before cv lists its repetitions, their
+        folds and their paths: in a child under a 512 MB address space it
+        exits 1 with the bound in its message, not a MemoryError traceback."""
+        tmp_path, cfg = synth_env
+        assert main(["cv", "--config", str(cfg), "--quiet",
+                     f"--repeats={MAX_REPEATS + 1}"]) == 1
+        assert f"<= {MAX_REPEATS}, got {MAX_REPEATS + 1}" in capsys.readouterr().err
+        done = run_fresh("cv", "--config", str(cfg), "--quiet", f"--repeats={10**12}",
+                         address_space_limit=512 << 20)
+        assert done.returncode == 1, done.stderr
+        assert f"--repeats must be >= 1 and <= {MAX_REPEATS}, got {10**12}" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "ckpt").exists()
 
     def test_more_folds_than_a_class_holds_exits_2_before_the_fold_paths(self, synth_env,
                                                                          capsys):

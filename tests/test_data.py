@@ -1,16 +1,22 @@
 """Tests for volume I/O, preprocessing, splits, folds, and synthesis."""
 
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
 from volformer import data as D
+from volformer.checkpoint import read_raw_checkpoint, save_checkpoint
 from volformer.errors import ConfigError, DataError, FormatError
+from volformer.model import ModelParams
 from volformer.rng import Rng
+from volformer.tensor import Tensor
 
 
 def make_volume(shape=(4, 8, 8, 1), seed=0, label=0):
@@ -63,6 +69,64 @@ class TestVvolFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="byte 0"):
             D.read_volume(path)
+
+
+class TestArrayRecord:
+    """VVOL and VVCK files end each array with the same record: a u8 rank,
+    rank u32 extents, then row-major float32 LE data."""
+
+    def test_vvol_from_byte_7_is_the_vvck_record_of_its_voxels(self, tmp_path):
+        vol = make_volume(shape=(2, 3, 4, 1), seed=6)
+        D.write_volume(vol, tmp_path / "v.vvol")
+
+        class OneArray:
+            config = tiny_config()
+
+            def named_parameters(self):
+                return [("voxels", Tensor(vol.voxels))]
+
+        save_checkpoint(tmp_path / "v.vvck", OneArray())
+        vvck = (tmp_path / "v.vvck").read_bytes()
+        record_at = 10 + struct.unpack_from("<I", vvck, 6)[0] + 4 + 2 + len("voxels")
+        assert (tmp_path / "v.vvol").read_bytes()[7:] == vvck[record_at:]
+        assert vvck[record_at:record_at + 17] == struct.pack("<B4I", 4, 2, 3, 4, 1)
+
+    def test_every_vvol_prefix_is_a_format_error_naming_a_byte(self, tmp_path):
+        path = tmp_path / "cut.vvol"
+        D.write_volume(make_volume(shape=(2, 2, 2, 1)), path)
+        blob = path.read_bytes()
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="byte"):
+                D.read_volume(path)
+
+    def test_every_vvck_prefix_through_two_records_is_a_format_error(self, tmp_path):
+        """Cut anywhere in the header (config, array count) or in the first
+        two array records (name length, name, rank, extents, data)."""
+        path = tmp_path / "cut.vvck"
+        save_checkpoint(path, ModelParams.initialize(tiny_config(), seed=0))
+        blob = path.read_bytes()
+        at = 14 + struct.unpack_from("<I", blob, 6)[0]
+        for _ in range(2):
+            name_len = struct.unpack_from("<H", blob, at)[0]
+            rank = blob[at + 2 + name_len]
+            shape = struct.unpack_from(f"<{rank}I", blob, at + 3 + name_len)
+            at += 3 + name_len + 4 * rank + 4 * math.prod(shape)
+        for end in range(at + 1):
+            path.write_bytes(blob[:end])
+            with pytest.raises(FormatError, match="byte"):
+                read_raw_checkpoint(path)
+
+
+    def test_bytes_after_the_last_record_are_refused(self, tmp_path):
+        vvol, vvck = tmp_path / "x.vvol", tmp_path / "x.vvck"
+        D.write_volume(make_volume(shape=(2, 2, 2, 1)), vvol)
+        save_checkpoint(vvck, ModelParams.zeros(tiny_config()))
+        for path, read in ((vvol, D.read_volume), (vvck, read_raw_checkpoint)):
+            size = path.stat().st_size
+            path.write_bytes(path.read_bytes() + b"\0\0\0")
+            with pytest.raises(FormatError, match=f"3 trailing bytes after byte {size}"):
+                read(path)
 
 
 class TestCentralSlices:

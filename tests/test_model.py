@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import project, random_params, set_config_keys, tiny_config
+from gradcheck import add, finite_difference_check
 from naive_reference import naive_forward, naive_tokens
 from volformer import model as M
 from volformer import tensor as T
@@ -490,17 +491,17 @@ class TestEncoderBlock:
             def dense(x, name, bias):
                 return T.linear(x, p[name], p[bias])
 
-            z = T.add(dense(x, "embed.weight", "embed.bias"), p["pos_embed"])
+            z = add(dense(x, "embed.weight", "embed.bias"), p["pos_embed"])
             for i in range(config.num_layers):
                 pre = f"layers.{i}."
                 h = T.layer_norm(z, p[pre + "ln1.gamma"], p[pre + "ln1.beta"], eps)
                 q, k, v = (dense(h, f"{pre}attn.{n}_weight", f"{pre}attn.{n}_bias")
                            for n in "qkv")
                 heads = T.attention(q, k, v, config.num_heads)
-                y = T.add(z, dense(heads, pre + "attn.out_weight", pre + "attn.out_bias"))
+                y = add(z, dense(heads, pre + "attn.out_weight", pre + "attn.out_bias"))
                 h = T.layer_norm(y, p[pre + "ln2.gamma"], p[pre + "ln2.beta"], eps)
                 hidden = relu(dense(h, pre + "ffn.w1", pre + "ffn.b1"))
-                z = T.add(y, dense(hidden, pre + "ffn.w2", pre + "ffn.b2"))
+                z = add(y, dense(hidden, pre + "ffn.w2", pre + "ffn.b2"))
             return z
 
         def fused(p, x):
@@ -527,7 +528,7 @@ class TestEncoderBlock:
         def f(t):
             return project(M.encoder_block(t, params, "layers.0."), c)
 
-        assert T.finite_difference_check(f, T.Tensor(x0), step=1e-5) < 1e-6
+        assert finite_difference_check(f, T.Tensor(x0), step=1e-5) < 1e-6
 
 
 class TestClassification:

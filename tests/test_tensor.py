@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import project
+from gradcheck import add, finite_difference_check, reshape
 from volformer import tensor as T
 from volformer.errors import (ConfigError, DataError, DimensionError,
                               NumericError, UsageError)
@@ -145,13 +146,13 @@ class TestForwardSemantics:
 
     def test_mixed_dtype_rejected(self):
         with pytest.raises(UsageError):
-            T.add(leaf([1.0], dtype=np.float32), leaf([1.0], dtype=np.float64))
+            add(leaf([1.0], dtype=np.float32), leaf([1.0], dtype=np.float64))
 
     @given(st.integers(2, 5), st.integers(2, 5))
     def test_reshape_round_trip_bit_exact(self, a, b):
         rng = np.random.default_rng(a * 10 + b)
         x = leaf(rng.standard_normal((a, b)))
-        back = T.reshape(T.reshape(x, (b * a,)), (a, b))
+        back = reshape(reshape(x, (b * a,)), (a, b))
         assert (back.data == x.data).all()
 
     def test_cross_entropy_values(self):
@@ -177,8 +178,8 @@ class TestBackward:
         """d/dx sum(x^2) = 2x; at x=[1,2] that is [2, 4]."""
         x = leaf([1.0, 2.0])
         with T.Tape() as tape:
-            squares = matmul(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)))
-            out = T.reshape(squares, ())
+            squares = matmul(reshape(x, (1, 2)), reshape(x, (2, 1)))
+            out = reshape(squares, ())
         tape.backward(out, [x])
         [grad] = tape.grads
         np.testing.assert_allclose(grad, [2.0, 4.0], atol=1e-12)
@@ -199,7 +200,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = leaf([1.0, 2.0])
         with T.Tape() as tape:
-            out = T.add(x, x)
+            out = add(x, x)
         with pytest.raises(UsageError):
             tape.backward(out, [x])
 
@@ -232,14 +233,14 @@ class TestBackward:
     def test_tensor_reused_twice_accumulates(self):
         x = leaf([3.0])
         with T.Tape() as tape:
-            out = project(T.add(x, x), [1.0])
+            out = project(add(x, x), [1.0])
         tape.backward(out, [x, x])
         for grad in tape.grads:
             np.testing.assert_allclose(grad, [2.0])
 
     def test_no_recording_without_tape(self):
         x = leaf([1.0])
-        out = T.add(x, x)
+        out = add(x, x)
         assert not out.requires_grad
 
     def test_tapes_are_per_thread(self):
@@ -249,9 +250,9 @@ class TestBackward:
         seen = []
 
         def other():
-            seen.append(T.add(x, x).requires_grad)
+            seen.append(add(x, x).requires_grad)
             with T.Tape() as own:
-                T.add(x, x)
+                add(x, x)
             seen.append(len(own.nodes))
 
         with T.Tape() as tape:
@@ -277,7 +278,7 @@ def _attention_case(wrt, num_heads=2):
     def case(x, c):
         args = {"q": T.Tensor(c[None]), "k": T.Tensor(np.roll(c, 1, axis=1)[None]),
                 "v": T.Tensor(c[None, ::-1])}
-        args[wrt] = T.reshape(x, (1, 3, 4))
+        args[wrt] = reshape(x, (1, 3, 4))
         return project(T.attention(args["q"], args["k"], args["v"], num_heads), c)
     return case
 
@@ -286,7 +287,7 @@ class TestFiniteDifferenceOracle:
     """Every differentiable op agrees with central differences < 1e-6."""
 
     CASES = {
-        "add": lambda x, c: project(T.add(x, T.Tensor(c[0])), c),
+        "add": lambda x, c: project(add(x, T.Tensor(c[0])), c),
         "linear_x": lambda x, c: project(
             T.linear(x, T.Tensor(c.T), T.Tensor(c[0, :3])), c @ c.T),
         # rank-3 constant rows: the weight gradient is one GEMM over the
@@ -297,9 +298,9 @@ class TestFiniteDifferenceOracle:
         # a positive projection keeps the bias gradient, a sum over the
         # rows, away from 0
         "linear_b": lambda x, c: project(
-            T.linear(T.Tensor(c), T.Tensor(np.tile(c.T, 4)), T.reshape(x, (12,))),
+            T.linear(T.Tensor(c), T.Tensor(np.tile(c.T, 4)), reshape(x, (12,))),
             np.abs(np.tile(c, 3))),
-        "reshape": lambda x, c: project(T.reshape(x, (x.size,)), c.reshape(-1)),
+        "reshape": lambda x, c: project(reshape(x, (x.size,)), c.reshape(-1)),
         "reduce_mean_axis": lambda x, c: project(T.reduce_mean(x, axis=0), c[0]),
         # the identity weight makes x the pre-activation, which
         # _away_from_kinks keeps off the ReLU's kink
@@ -331,7 +332,7 @@ class TestFiniteDifferenceOracle:
             # element well above central-difference roundoff
             c = _away_from_kinks(rng.standard_normal((3, 4)), margin=0.3)
             x0 = _away_from_kinks(rng.standard_normal((3, 4)))
-            err = T.finite_difference_check(lambda t: func(t, c), T.Tensor(x0),
+            err = finite_difference_check(lambda t: func(t, c), T.Tensor(x0),
                                             step=1e-5)
             assert err < 1e-6, f"{name} point {point}: {err}"
 
@@ -342,7 +343,7 @@ class TestFiniteDifferenceOracle:
         for point in range(10):
             c = _away_from_kinks(rng.standard_normal(shape), margin=0.3)
             x0 = rng.standard_normal(shape)
-            err = T.finite_difference_check(
+            err = finite_difference_check(
                 lambda t: project(T.softmax(t, axis=axis), c), T.Tensor(x0), step=1e-5)
             assert err < 1e-6, f"point {point}: {err}"
 
@@ -363,16 +364,16 @@ class TestFiniteDifferenceOracle:
             def wrt_beta(t):
                 return project(T.layer_norm(T.Tensor(x0), T.Tensor(g0), t, 1e-6), c)
 
-            assert T.finite_difference_check(wrt_x, T.Tensor(x0), 1e-5) < 1e-6
-            assert T.finite_difference_check(wrt_gamma, T.Tensor(g0), 1e-5) < 1e-6
-            assert T.finite_difference_check(wrt_beta, T.Tensor(b0), 1e-5) < 1e-6
+            assert finite_difference_check(wrt_x, T.Tensor(x0), 1e-5) < 1e-6
+            assert finite_difference_check(wrt_gamma, T.Tensor(g0), 1e-5) < 1e-6
+            assert finite_difference_check(wrt_beta, T.Tensor(b0), 1e-5) < 1e-6
 
     def test_cross_entropy_gradient(self):
         rng = np.random.default_rng(123)
         for point in range(10):
             logits = rng.standard_normal((4, 3))
             labels = rng.integers(0, 3, size=4)
-            err = T.finite_difference_check(
+            err = finite_difference_check(
                 lambda t: T.softmax_cross_entropy(t, labels), T.Tensor(logits), 1e-5)
             assert err < 1e-6
 
@@ -385,7 +386,7 @@ class TestFiniteDifferenceOracle:
         def f(t):
             return project(T.softmax(matmul(t, T.Tensor(w)), -1), c)
 
-        err = T.finite_difference_check(f, T.Tensor(rng.standard_normal((3, 4))), 1e-5)
+        err = finite_difference_check(f, T.Tensor(rng.standard_normal((3, 4))), 1e-5)
         assert err < 1e-6
 
     def test_negative_control_detects_corrupted_vjp(self):
@@ -397,6 +398,6 @@ class TestFiniteDifferenceOracle:
 
         rng = np.random.default_rng(17)
         x0 = 1.0 + rng.random(5)
-        err = T.finite_difference_check(lambda t: project(bad_square(t), np.ones(5)),
+        err = finite_difference_check(lambda t: project(bad_square(t), np.ones(5)),
                                         T.Tensor(x0), 1e-5)
         assert err > 1e-2

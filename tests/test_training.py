@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_params, split_flat, tiny_config
+from gradcheck import finite_difference_check
 from volformer import model as M
 from volformer import tensor as T
 from volformer import training as TR
@@ -57,7 +58,7 @@ class TestLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         labels = rng.integers(0, 3, size=5)
-        err = T.finite_difference_check(
+        err = finite_difference_check(
             lambda t: T.softmax_cross_entropy(t, labels),
             T.Tensor(rng.standard_normal((5, 3))), step=1e-5)
         assert err < 1e-6
