@@ -180,6 +180,16 @@ def select_central_slices(volume: Volume, k: int = 32) -> Volume:
     return replace(volume, voxels=volume.voxels[start : start + k].copy())
 
 
+@contextlib.contextmanager
+def _allocating(shape: tuple[int, ...]):
+    """Make a MemoryError, or numpy's ValueError for a size past its index
+    range, raised while a volume of shape is made a ConfigError naming it."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"cannot allocate a volume of shape {shape}: {exc}") from None
+
+
 def _axis_positions(src: int, dst: int) -> np.ndarray:
     # corner-aligned sampling; a single output samples the source center
     if dst == 1:
@@ -202,14 +212,16 @@ def _interp_axis(arr: np.ndarray, dst: int, axis: int) -> np.ndarray:
 def resample_slices(volume: Volume, target_h: int, target_w: int) -> Volume:
     """Per-slice bilinear resampling with corner-aligned coordinates.
 
-    Matching source and target sizes reproduce the input bit-exactly.
+    Matching source and target sizes reproduce the input bit-exactly. A
+    target too large to allocate is a ConfigError naming its shape.
     """
     if target_h < 1 or target_w < 1:
         raise ConfigError("resample targets must be positive")
-    work = volume.voxels.astype(np.float64)
-    work = _interp_axis(work, target_h, axis=1)
-    work = _interp_axis(work, target_w, axis=2)
-    return replace(volume, voxels=work.astype(np.float32))
+    with _allocating(volume.shape[:1] + (target_h, target_w) + volume.shape[3:]):
+        work = volume.voxels.astype(np.float64)
+        work = _interp_axis(work, target_h, axis=1)
+        work = _interp_axis(work, target_w, axis=2)
+        return replace(volume, voxels=work.astype(np.float32))
 
 
 def normalize_intensity(volume: Volume, mode: str = "minmax") -> Volume:
@@ -580,7 +592,8 @@ def gen_synthetic(n_per_class: int, extents: Sequence[int], seed: int, out_dir,
     for c in range(n_classes):
         for i in range(n_per_class):
             rng = Rng(derive_seed(seed, c, i))
-            vox = synthetic_volume(c, n_classes, extents, rng, noise_sigma)
+            with _allocating(tuple(extents)):
+                vox = synthetic_volume(c, n_classes, extents, rng, noise_sigma)
             name = f"c{c}_{i:04d}"
             filename = f"{name}.vvol"
             volume = Volume(id=name, label=c, voxels=vox, subject_id=f"subj_{name}")

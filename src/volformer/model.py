@@ -9,8 +9,10 @@ embeddings (global average pooling).
 
 A volume is a [T, H, W, C] array, tokenized on its own to [N,
 token_width]; a batch of volumes is a sequence of them, and token
-activations are [B, N, embed_dim]. The layers read the architecture from
-params.config, the config the parameters were made for. Weights are
+activations are [B, N, embed_dim]. forward_logits is the one forward,
+and embed the one place tokens are made: a tape op over volumes that
+keeps no tokens for its backward pass. The layers read the architecture
+from params.config, the config the parameters were made for. Weights are
 looked up by the canonical names of parameter_shapes; encoder block i
 reads the names under the prefix "layers.i.".
 """
@@ -271,14 +273,58 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 
-def embed(tokens: np.ndarray, params: ModelParams) -> T.Tensor:
-    """Project [B, N, token_width] tokens to the embedding space and add
-    positional rows."""
-    if tokens.ndim != 3:
-        raise DimensionError(f"tokens must be rank 3 [B, N, width], got rank {tokens.ndim}")
-    weight = params["embed.weight"]
-    x = T.Tensor(tokens.astype(weight.dtype, copy=False))
-    return T.linear(x, weight, params["embed.bias"], addend=params["pos_embed"])
+# The embed tokenizes _SUB volumes at a time into one buffer, 4 MB at the
+# reference config: a 128-volume batch's tokens take 64 MB.
+_SUB = 8
+
+
+def _cut(n: int, k: int) -> list[slice]:
+    """Cut n rows into k nearly equal slices.
+
+    Every boundary falls on a multiple of 4: OpenBLAS's GEMM results depend
+    on a row's position mod 4, so each row keeps the bits of one pass over
+    all n. A slice holds at most 4 * ceil(n / 4k) rows, and the last more
+    than n / k - 4.
+    """
+    bounds = [4 * -(-i * n // (4 * k)) for i in range(k)] + [n]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _token_blocks(volumes: Sequence[np.ndarray], config: ModelConfig, dtype):
+    """(s, rows) for each slice s of the volumes cut by _cut to at most
+    _SUB: the tokens of volumes[s], written volume by volume as [len * N,
+    token_width] rows of one buffer in dtype, which the next slice reuses."""
+    buf = np.empty((_SUB, token_grid(config).total, config.token_width), dtype)
+    for s in _cut(len(volumes), -(-len(volumes) // _SUB)):
+        for volume, out in zip(volumes[s], buf):
+            tokenize(volume, config, out=out)
+        yield s, buf[: s.stop - s.start].reshape(-1, config.token_width)
+
+
+def embed(volumes: Sequence[np.ndarray], params: ModelParams) -> T.Tensor:
+    """Embeddings [B, N, d] of B [T, H, W, C] volumes: their tubelet tokens
+    @ embed.weight + embed.bias + pos_embed, as one tape node that keeps no
+    tokens. Each token block is one GEMM whose rows start on a multiple of 4
+    volumes, so z is the bits of one GEMM over the batch. The backward pass
+    tokenizes the same blocks again for the weight gradient and sums over
+    rows and volumes for the bias and positional ones."""
+    weight, bias, pos = params["embed.weight"], params["embed.bias"], params["pos_embed"]
+    d = pos.shape[1]
+    z = np.empty((len(volumes),) + pos.shape, weight.dtype)
+    for s, rows in _token_blocks(volumes, params.config, weight.dtype):
+        out = z[s]
+        np.matmul(rows, weight.data, out=out.reshape(-1, d))
+        out += bias.data
+        out += pos.data
+
+    def vjp(g):
+        g_rows = g.reshape(-1, d)
+        dw = np.zeros_like(weight.data)
+        for s, rows in _token_blocks(volumes, params.config, weight.dtype):
+            dw += rows.T @ g[s].reshape(-1, d)
+        return dw, np.ones(len(g_rows), g.dtype) @ g_rows, g.sum(axis=0)
+
+    return T._record(z, (weight, bias, pos), vjp)
 
 
 def mhsa(x: T.Tensor, params: ModelParams, prefix: str,
@@ -379,16 +425,10 @@ def tokenize(volume: np.ndarray, config: ModelConfig,
 def forward_logits(volumes: Sequence[np.ndarray], params: ModelParams,
                    attn_sink: Optional[list] = None) -> T.Tensor:
     """Logits [B, classes] for a sequence of B [T, H, W, C] volumes (a
-    stacked [B, T, H, W, C] array is one): tokenize into one buffer in the
-    parameters' dtype, embed, run the encoder stack, pool, and project.
-    Each volume is processed independently."""
-    config = params.config
-    tokens = np.empty((len(volumes), token_grid(config).total, config.token_width),
-                      params["embed.weight"].dtype)
-    for volume, out in zip(volumes, tokens):
-        tokenize(volume, config, out=out)
-    z = embed(tokens, params)
-    return classifier_logits(encode(z, params, attn_sink), params)
+    stacked [B, T, H, W, C] array is one): embed, run the encoder stack,
+    pool, and project. Each volume is processed independently. This is the
+    one forward: training and inference chunks run it, taped or not."""
+    return classifier_logits(encode(embed(volumes, params), params, attn_sink), params)
 
 
 def predict_classes(probs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Loss, Adam, the epoch loop, and improvement-gated checkpointing."""
+"""Loss, Adam, the epoch loop, and improvement-gated checkpointing. Batches
+run in chunks on a pool of worker threads; each chunk is one
+model.forward_logits call, taped on the worker for a training chunk."""
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -108,36 +111,19 @@ def _check_inputs(params: M.ModelParams, config: M.ModelConfig,
 _CHUNK = 32
 # An inference batch runs in chunks of at most _INFER_CHUNK volumes, which
 # bounds a worker's transient arrays at about 34 KB per volume (4.3 MB for
-# 128 reference volumes). A _chunk_logits call on 32, 64, 100, 128 and 200
+# 128 reference volumes). A forward_logits call on 32, 64, 100, 128 and 200
 # reference volumes (one BLAS thread, 2-core host with 2 MB of L2 per core)
 # cost 0.95-0.99, 0.89-0.95, 0.84-0.87, 0.84 and 0.86-0.87 ms per volume
 # on one thread, and 0.65-0.71, 0.52-0.57, 0.49-0.51, 0.48-0.50 and
 # 0.47-0.48 ms with two threads at once: most encoder ops on 32 volumes are
 # too short to gain from the time numpy releases the GIL.
 _INFER_CHUNK = 128
-# A chunk is tokenized and embedded _SUB volumes at a time, through one
-# token buffer per _sub_blocks call: 4 MB at the reference config, where
-# _CHUNK-volume buffers for 2 workers raised eval's peak RSS from 158 to 175 MB.
-_SUB = 8
 
 
-def _cut(n: int, k: int) -> list[slice]:
-    """Cut n rows into k nearly equal slices.
-
-    Every boundary falls on a multiple of 4: OpenBLAS's GEMM results depend
-    on a row's position mod 4, so each row keeps the bits of one pass over
-    all n. A slice holds at most 4 * ceil(n / 4k) rows, and the last more
-    than n / k - 4.
-    """
-    bounds = [4 * -(-i * n // (4 * k)) for i in range(k)] + [n]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _chunks(n: int, size: int = _CHUNK) -> list[slice]:
-    """Cut n rows into ceil(n / size) slices by _cut, each of at most size
-    when size is a multiple of 4. At size _CHUNK none is a single row
-    (which numpy sends to GEMV) unless n == 1."""
-    return _cut(n, -(-n // size))
+def _chunks(n: int) -> list[slice]:
+    """Cut n rows by model._cut into ceil(n / _CHUNK) slices of at most
+    _CHUNK; none is a single row (which numpy sends to GEMV) unless n == 1."""
+    return M._cut(n, -(-n // _CHUNK))
 
 
 def _inference_chunks(n: int, workers: int) -> list[slice]:
@@ -146,7 +132,7 @@ def _inference_chunks(n: int, workers: int) -> list[slice]:
     per 8 volumes, so none holds fewer than 5 unless n < 16. The count is a
     multiple of workers whenever n >= 8 * workers."""
     k = workers * -(-n // (workers * _INFER_CHUNK))
-    return _cut(n, min(k, max(1, n // 8)))
+    return M._cut(n, min(k, max(1, n // 8)))
 
 
 # The chunk worker pool: one thread per CPU this process may run on (taskset
@@ -157,60 +143,15 @@ _WORKERS = len(os.sched_getaffinity(0))
 _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="volformer")
 
 
-def _sub_blocks(chunk: Sequence[Volume], params: M.ModelParams):
-    """(s, tokens) for each slice s of chunk cut by _chunks to at most _SUB
-    volumes: tokens [len(chunk[s]), N, token_width] in the parameters'
-    dtype, in the leading rows of one buffer per call, which the next slice
-    overwrites. They are written volume by volume, so no stacked copy of
-    the voxels is made. Shapes must have passed _check_inputs."""
-    config = params.config
-    buf = np.empty((_SUB, M.token_grid(config).total, config.token_width),
-                   params["embed.weight"].dtype)
-    for s in _chunks(len(chunk), _SUB):
-        for volume, out in zip(chunk[s], buf):
-            M.tokenize(volume.voxels, config, out=out)
-        yield s, buf[: s.stop - s.start]
-
-
-def _embed_chunk(chunk: Sequence[Volume], params: M.ModelParams) -> np.ndarray:
-    """Embeddings [len(chunk), N, d] of one chunk, made without a tape one
-    sub-block at a time. Each sub-block's GEMM rows start on a multiple of
-    4, so they equal one embed over the chunk bit for bit."""
-    return np.concatenate([M.embed(x, params).data for _, x in _sub_blocks(chunk, params)])
-
-
-def _chunk_logits(chunk: Sequence[Volume], params: M.ModelParams) -> np.ndarray:
-    """Logits [len(chunk), classes] of one chunk, run on a worker thread:
-    the encoder and head run on the whole chunk's embeddings."""
-    z = T.Tensor(_embed_chunk(chunk, params))
-    return M.classifier_logits(M.encode(z, params), params).data
-
-
 def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams) -> tuple[float, np.ndarray]:
     """(mean cross-entropy, its gradient in the layout of params.flat) of
-    one chunk, run on a worker thread.
-
-    The chunk's tape records onto the shared parameter tensors and keeps
-    its gradients to itself (tape.grads). The embed runs outside the tape
-    and its output z is a leaf: from z's gradient, the embed weight's is
-    summed over the sub-blocks of _embed_chunk, each tokenized again, and
-    the bias and positional gradients are sums over rows and volumes.
-    """
-    z = T.Tensor(_embed_chunk(chunk, params), requires_grad=True)
+    one chunk, run on a worker thread. The chunk's tape records onto the
+    shared parameter tensors and keeps its gradients to itself."""
     with T.Tape() as tape:
-        logits = M.classifier_logits(M.encode(z, params), params)
+        logits = M.forward_logits([v.voxels for v in chunk], params)
         loss = T.softmax_cross_entropy(logits, [v.label for v in chunk])
-    tape.backward(loss, [z, *params.tensors()])
-    # the embed's three leaves lead parameter_shapes; off the tape, they get zeros
-    g, weight, _, _, *rest = tape.grads
-    del tape  # the activations go before the embed gradient is made
-    config = params.config
-    g_rows = g.reshape(-1, config.embed_dim)
-    for s, x in _sub_blocks(chunk, params):
-        weight += x.reshape(-1, config.token_width).T @ g[s].reshape(-1, config.embed_dim)
-    bias = np.ones(len(g_rows), g.dtype) @ g_rows
-    return float(loss.data), np.concatenate(
-        [t.ravel() for t in (weight, bias, g.sum(axis=0), *rest)])
+    tape.backward(loss, params.tensors())
+    return float(loss.data), np.concatenate([g.ravel() for g in tape.grads])
 
 
 def _batches(volumes: Sequence[Volume], params: M.ModelParams, batch_size: int, what: str):
@@ -218,8 +159,8 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, batch_size: int, 
 
     Each batch is cut on its own by _inference_chunks for the pool's
     thread count, so every chunk boundary falls on a multiple of 4 volumes
-    from the start of its batch (see _cut), the batch's last chunk ends
-    where the batch does, and a 1-volume batch is a 1-volume chunk. Every
+    from the start of its batch (see model._cut), its last chunk ends where
+    the batch does, and a 1-volume batch is a 1-volume chunk. Every
     chunk of every batch goes to the worker pool up front, and each batch's
     logits are gathered in chunk order, so they are bit-identical to one
     forward_logits pass over the batch at any worker count. The first error
@@ -227,15 +168,19 @@ def _batches(volumes: Sequence[Volume], params: M.ModelParams, batch_size: int, 
     dropped, as they are when the caller stops early. Shapes must have
     passed _check_inputs.
     """
+    if isinstance(batch_size, bool) or not isinstance(batch_size, numbers.Integral) \
+            or batch_size < 1:
+        raise UsageError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     if not volumes:
         raise DataError(f"cannot {what} an empty set")
     batches = [volumes[start : start + batch_size]
                for start in range(0, len(volumes), batch_size)]
     cuts = [_inference_chunks(len(batch), _WORKERS) for batch in batches]
-    logits = _pool.map(_chunk_logits, [batch[s] for batch, cut in zip(batches, cuts)
-                                       for s in cut], repeat(params))
+    logits = _pool.map(M.forward_logits, [[v.voxels for v in batch[s]]
+                                          for batch, cut in zip(batches, cuts) for s in cut],
+                       repeat(params))
     for batch, cut in zip(batches, cuts):
-        yield batch, T.Tensor(np.concatenate([next(logits) for _ in cut]))
+        yield batch, T.Tensor(np.concatenate([next(logits).data for _ in cut]))
 
 
 def evaluate(params: M.ModelParams, config: M.ModelConfig, volumes: Sequence[Volume],
@@ -309,8 +254,8 @@ def train(params: M.ModelParams, config: M.ModelConfig,
     cfg.seed (derive_seed(seed, 1)), walks it in batches of cfg.batch_size
     (last partial batch kept), one Adam step per batch, and evaluates the
     validation set. A batch's forward and backward run
-    in chunks of at most _CHUNK volumes on the worker pool, each tokenized
-    from its volumes as inference does, so peak memory stops growing with
+    in chunks of at most _CHUNK volumes on the worker pool, each through
+    the forward_logits that inference runs, so peak memory stops growing with
     cfg.batch_size past one chunk per worker and holds no copy of the
     training set. A checkpoint is written only when the monitored metric
     strictly improves. Identical seeds give bit-identical histories and

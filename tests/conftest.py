@@ -67,6 +67,16 @@ def project(t: T.Tensor, c) -> T.Tensor:
     return reshape(T.linear(reshape(t, (1, t.size)), T.Tensor(column), zero), ())
 
 
+def embed_tokens(tokens, params: ModelParams) -> T.Tensor:
+    """The embed of [B, N, token_width] tokens as one taped T.linear over
+    all of them: tokens @ embed.weight + embed.bias + pos_embed. An oracle
+    for model.embed, which tokenizes volumes itself, and a way to embed
+    tokens that no volume holds in that order."""
+    weight = params["embed.weight"]
+    return T.linear(T.Tensor(np.asarray(tokens, weight.dtype)), weight, params["embed.bias"],
+                    addend=params["pos_embed"])
+
+
 def set_config_keys(path, **values) -> None:
     """Rewrite the VVCK file at path with `values` merged into its
     embedded config JSON, kept canonical (sorted keys, compact)."""

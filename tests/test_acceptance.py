@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import embed_tokens, tiny_config
 from volformer import data as D
 from volformer import metrics as ME
 from volformer import model as M
@@ -209,7 +209,7 @@ def test_overfit_loss_trend(overfit):
 
 def test_criterion_05_position_encoding_sensitivity(overfit):
     def token_logits(tokens, params):
-        z = M.embed(tokens[None], params)
+        z = embed_tokens(tokens[None], params)
         z = M.encode(z, params)
         return M.classifier_logits(z, params).data[0]
 

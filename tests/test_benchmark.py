@@ -24,7 +24,8 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_workload_runs_correctly_at_tiny_size(workload, trace):
     """About a second per workload: its last stdout line is the result,
     which must be correct with no failed operation. Traced, the file
-    readers each workload calls must show in the per-layer metrics, so a
+    readers each workload calls and the tensor ops of model.forward_logits,
+    the forward every chunk runs, must show in the per-layer metrics, so a
     refactor cannot hide them from the tracer."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--size", "tiny",
@@ -35,8 +36,8 @@ def test_workload_runs_correctly_at_tiny_size(workload, trace):
     assert result["correct"] is True, result
     assert result["attempted"] > 0 and result["failed"] == 0, result
     if trace:
-        readers = ["data.read_volume.ms"]
+        nonzero = ["data.read_volume.ms", "tensor.ops_per_forward"]
         if workload == "infer_b128":
-            readers.append("checkpoint.load_checkpoint.ms")
-        for name in readers:
+            nonzero.append("checkpoint.load_checkpoint.ms")
+        for name in nonzero:
             assert result["metrics"][name]["value"] > 0, name

@@ -79,6 +79,19 @@ class TestSynth:
         assert "force" in capsys.readouterr().err
         assert main(["synth", "--config", str(cfg), "--quiet", "--force"]) == 0
 
+    def test_volume_too_large_to_allocate_exits_1(self, tmp_path):
+        """A 9.31 TiB blob grid, in a child under a 1.5 GB address space,
+        is a ConfigError naming the volume shape, not a traceback."""
+        cfg = write_config(tmp_path)
+        done = run_fresh("synth", "--config", str(cfg), "--quiet",
+                         "--set", "model.slices=32", "--set", "model.height=200000",
+                         "--set", "model.width=200000", "--set", "model.patch_height=2",
+                         address_space_limit=1500 << 20)
+        assert done.returncode == 1, done.stderr
+        assert "cannot allocate a volume of shape (32, 200000, 200000, 1)" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "manifest.jsonl").exists()
+
 
 class TestPreprocess:
     def test_pipeline_shapes(self, tmp_path, capsys):
@@ -98,6 +111,19 @@ class TestPreprocess:
         vol = manifest.load_volume(manifest.entries[0])
         assert vol.shape == (4, 8, 8, 1)
         assert vol.voxels.min() >= 0.0 and vol.voxels.max() <= 1.0
+
+    def test_target_too_large_to_allocate_exits_1(self, synth_env):
+        """Resampling to 300000 x 300000 (2.62 TiB), in a child under a
+        1.5 GB address space, is a ConfigError naming the target shape, not
+        a traceback."""
+        tmp_path, cfg = synth_env
+        done = run_fresh("preprocess", "--config", str(cfg), "--quiet",
+                         "--set", "model.height=300000", "--set", "model.width=300000",
+                         address_space_limit=1500 << 20)
+        assert done.returncode == 1, done.stderr
+        assert "cannot allocate a volume of shape (4, 300000, 300000, 1)" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not list((tmp_path / "processed").glob("*.vvol"))
 
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import project, random_params, set_config_keys, tiny_config
+from conftest import embed_tokens, project, random_params, set_config_keys, tiny_config
 from gradcheck import add, finite_difference_check
 from naive_reference import naive_forward, naive_tokens
 from volformer import model as M
@@ -206,31 +206,105 @@ def minimal_embed_setup():
     return cfg, params
 
 
+class LeafSwap(dict):
+    """params' leaf tensors by name, one of them replaced by leaf, and
+    params.config: all that model.embed reads."""
+
+    def __init__(self, params, name, leaf):
+        super().__init__(params.named_parameters())
+        self[name] = leaf
+        self.config = params.config
+
+
 class TestEmbed:
     def test_zero_tokens_zero_positions_give_bias(self, tiny):
         params = M.ModelParams.zeros(tiny, dtype=np.float64)
         params["embed.bias"].data[:] = np.arange(8)
-        z = M.embed(np.zeros((1, 8, tiny.token_width)), params)
+        z = M.embed(np.zeros((1,) + tiny.input_shape), params)
         np.testing.assert_array_equal(z.data[0], np.tile(np.arange(8.0), (8, 1)))
 
     def test_identical_tokens_identical_rows(self, tiny):
+        """A volume tiled from one tubelet holds 8 identical tokens."""
         params = random_params(tiny, seed=1)
         params["pos_embed"].data[:] = 0.0
-        tokens = np.tile(np.random.default_rng(2).standard_normal(32), (8, 1))
-        z = M.embed(tokens[None], params)
+        tubelet = np.random.default_rng(2).standard_normal((2, 4, 4, 1))
+        z = M.embed(np.tile(tubelet, (2, 2, 2, 1))[None], params)
         assert (z.data == z.data[0, 0]).all()
 
     def test_unit_token_hand_case(self):
         cfg, params = minimal_embed_setup()
-        z = M.embed(np.array([[[1.0, 0.0]]]), params)
+        z = M.embed(np.array([1.0, 0.0]).reshape(1, 1, 1, 2, 1), params)
         expected = params["embed.weight"].data[0] + params["embed.bias"].data \
             + params["pos_embed"].data[0]
         np.testing.assert_allclose(z.data[0, 0], expected, atol=1e-12)
 
     def test_width_mismatch_rejected(self, tiny):
         params = M.ModelParams.zeros(tiny)
-        with pytest.raises(DimensionError):
-            M.embed(np.zeros((1, 3, 7)), params)
+        with pytest.raises(DimensionError, match="does not match configured input"):
+            M.embed(np.zeros((1, 4, 8, 12, 1)), params)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tokens_equal_the_stacked_path(self, dtype):
+        """11 volumes make token blocks of 8 and 3, in the dtype asked for."""
+        config = M.ModelConfig()
+        rng = np.random.default_rng(8)
+        volumes = [rng.standard_normal(config.input_shape).astype(dtype) for _ in range(11)]
+        # each block's tokens are overwritten by the next, so keep copies
+        got = [(s, x.copy()) for s, x in M._token_blocks(volumes, config, np.float32)]
+        assert [s for s, _ in got] == [slice(0, 8), slice(8, 11)]
+        stacked = np.stack(volumes).astype(np.float32)
+        np.testing.assert_array_equal(
+            np.concatenate([x for _, x in got]),
+            np.concatenate([M.tokenize(v, config) for v in stacked]))
+        assert all(x.dtype == np.float32 for _, x in got)
+
+    def test_equals_one_linear_over_the_stacked_tokens(self):
+        """Reference config, float32, 20 volumes in blocks of 8, 8 and 4:
+        the output and all three gradients equal one T.linear over the
+        stacked tokens, bit for bit (the weight gradient is a sum of the
+        blocks' GEMMs, so to float32 rounding: 7.9e-7 of its largest entry
+        on one x86 host), and the op's node holds no array."""
+        config = M.ModelConfig()
+        rng = np.random.default_rng(30)
+        params = M.ModelParams.initialize(config, seed=30, weight_std=0.2)
+        params.flat += 0.1 * rng.standard_normal(params.flat.size).astype(np.float32)
+        volumes = rng.random((20,) + config.input_shape, dtype=np.float32)
+        c = rng.standard_normal((20, 16, config.embed_dim))
+        assert [s for s, _ in M._token_blocks(volumes, config, np.float32)] == [
+            slice(0, 8), slice(8, 16), slice(16, 20)]
+        tokens = np.stack([M.tokenize(v, config) for v in volumes])
+        results = []
+        for forward in (lambda: embed_tokens(tokens, params),
+                        lambda: M.embed(list(volumes), params)):
+            with T.Tape() as tape:
+                z = forward()
+                loss = project(z, c)
+            tape.backward(loss, params.tensors()[:3])
+            results.append((z.data, tape))
+        (want, taped), (got, op) = results
+        np.testing.assert_array_equal(got, want)
+        (w_want, *rest_want), (w_got, *rest_got) = taped.grads, op.grads
+        assert np.abs(w_got - w_want).max() <= 1e-5 * np.abs(w_want).max()
+        for have, wanted in zip(rest_got, rest_want):
+            np.testing.assert_array_equal(have, wanted)
+        assert len(op.nodes) == len(taped.nodes)
+        assert not any(isinstance(cell.cell_contents, np.ndarray)
+                       for cell in op.nodes[0].vjp.__closure__)
+
+    @pytest.mark.parametrize("name", ["embed.weight", "embed.bias", "pos_embed"])
+    def test_gradient_matches_finite_differences(self, tiny, name):
+        """float64, 20 volumes, so the backward pass sums the weight
+        gradient over token blocks of 8, 8 and 4."""
+        params = random_params(tiny, seed=31)
+        rng = np.random.default_rng(31)
+        volumes = rng.standard_normal((20,) + tiny.input_shape)
+        c = rng.standard_normal((20, 8, tiny.embed_dim))
+        assert len(list(M._token_blocks(volumes, tiny, np.float64))) == 3
+
+        def f(leaf):
+            return project(M.embed(volumes, LeafSwap(params, name, leaf)), c)
+
+        assert finite_difference_check(f, params[name], step=1e-5) < 1e-6
 
 
 class TestAttention:
@@ -480,18 +554,18 @@ class TestEncoderBlock:
         rng = np.random.default_rng(20)
         params = M.ModelParams.initialize(config, seed=20, weight_std=0.2)
         params.flat += 0.1 * rng.standard_normal(params.flat.size).astype(np.float32)
-        tokens = np.stack([M.tokenize(v, config) for v in
-                           rng.random((4,) + config.input_shape, dtype=np.float32)])
+        volumes = rng.random((4,) + config.input_shape, dtype=np.float32)
         c = rng.standard_normal((4, 16, config.embed_dim))
 
         def relu(a):
             return T._record(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0),))
 
-        def separate(p, x):
+        def separate(p):
             def dense(x, name, bias):
                 return T.linear(x, p[name], p[bias])
 
-            z = add(dense(x, "embed.weight", "embed.bias"), p["pos_embed"])
+            tokens = T.Tensor(np.stack([M.tokenize(v, config) for v in volumes]))
+            z = add(dense(tokens, "embed.weight", "embed.bias"), p["pos_embed"])
             for i in range(config.num_layers):
                 pre = f"layers.{i}."
                 h = T.layer_norm(z, p[pre + "ln1.gamma"], p[pre + "ln1.beta"], eps)
@@ -504,13 +578,13 @@ class TestEncoderBlock:
                 z = add(y, dense(hidden, pre + "ffn.w2", pre + "ffn.b2"))
             return z
 
-        def fused(p, x):
-            return M.encode(M.embed(x.data, p), p)
+        def fused(p):
+            return M.encode(M.embed(volumes, p), p)
 
         results = []
         for forward in (separate, fused):
             with T.Tape() as tape:
-                out = forward(params, T.Tensor(tokens))
+                out = forward(params)
                 loss = project(out, c)
             tape.backward(loss, params.tensors())
             results.append((out.data, tape.grads))
@@ -611,7 +685,7 @@ class TestForward:
 
 class TestPositionSensitivity:
     def _token_probs(self, tokens, params):
-        z = M.embed(tokens, params)
+        z = embed_tokens(tokens, params)
         z = M.encode(z, params)
         return T.softmax(M.classifier_logits(z, params), axis=-1).data
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_params, split_flat, tiny_config
+from conftest import embed_tokens, random_params, split_flat, tiny_config
 from gradcheck import finite_difference_check
 from volformer import model as M
 from volformer import tensor as T
@@ -266,14 +266,29 @@ class TestTrainLoop:
         params = M.ModelParams.initialize(cfg, seed=0)
         other = tiny_config(**override)
         started = []
-        for name in ("_chunk_logits", "_chunk_gradient"):
-            monkeypatch.setattr(TR, name, lambda *args, name=name: started.append(name))
+        for module, name in ((M, "forward_logits"), (TR, "_chunk_gradient")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: started.append(name))
         calls = [lambda: TR.train(params, other, train, val, TR.TrainConfig(epochs=1)),
                  lambda: TR.evaluate(params, other, val),
                  lambda: TR.predict_probs(params, other, val)]
         for call in calls:
             with pytest.raises(UsageError, match=next(iter(override))):
                 call()
+        assert started == []
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, True])
+    def test_batch_size_not_a_positive_integer_rejected(self, tmp_path, monkeypatch,
+                                                        batch_size):
+        """evaluate and predict_probs refuse it before a chunk starts (0 and
+        2.5 raised range()'s ValueError and TypeError, -1 np.concatenate's
+        ValueError)."""
+        cfg, _, val = synthetic_sets(tmp_path)
+        params = M.ModelParams.initialize(cfg, seed=0)
+        started = []
+        monkeypatch.setattr(M, "forward_logits", lambda *args: started.append(args))
+        for call in (TR.evaluate, TR.predict_probs):
+            with pytest.raises(UsageError, match=f"an integer >= 1, got {batch_size!r}"):
+                call(params, cfg, val, batch_size)
         assert started == []
 
     def test_partial_final_batch_kept(self, tmp_path):
@@ -418,22 +433,23 @@ class TestMicroBatches:
         assert loss_sum / n == pytest.approx(float(loss.data), rel=1e-12)
 
     def test_sub_blocked_embed_gradient_equals_the_taped_one(self):
-        """A chunk of 20 volumes embeds in sub-blocks of 8, 8 and 4 outside
-        the tape; its embed gradients match a tape through M.embed, and
-        every other gradient is the same bits."""
+        """A chunk of 20 volumes embeds in token blocks of 8, 8 and 4; its
+        embed gradients match a tape through one T.linear over the stacked
+        tokens, and every other gradient is the same bits."""
         n = 20
         config = tiny_config()
         params = random_params(config, seed=22)  # float64
         rng = np.random.default_rng(13)
         voxels = rng.standard_normal((n,) + config.input_shape)
         labels = rng.integers(0, config.num_classes, size=n)
+        tokens = np.stack([M.tokenize(v, config) for v in voxels])
         with T.Tape() as tape:
-            loss = T.softmax_cross_entropy(
-                M.forward_logits(voxels, params), labels)
+            z = M.encode(embed_tokens(tokens, params), params)
+            loss = T.softmax_cross_entropy(M.classifier_logits(z, params), labels)
         tape.backward(loss, params.tensors())
         volumes = [Volume(f"v{i}", int(labels[i]), voxels[i]) for i in range(n)]
         chunk_loss, grad = TR._chunk_gradient(volumes, params)
-        assert len(TR._chunks(n, TR._SUB)) == 3
+        assert len(list(M._token_blocks(voxels, config, np.float64))) == 3
         assert chunk_loss == float(loss.data)
         assert grad.shape == params.flat.shape
         for (name, got), want in zip(split_flat(config, grad).items(), tape.grads):
@@ -462,22 +478,6 @@ class TestMicroBatches:
 class TestInputPath:
     """Tokens are written volume by volume into one buffer; no stacked copy
     of the voxels is made."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_tokens_equal_the_stacked_path(self, dtype):
-        """11 volumes make sub-blocks of 8 and 3, in the parameters' dtype."""
-        config = M.ModelConfig()
-        params = M.ModelParams.zeros(config)
-        rng = np.random.default_rng(8)
-        volumes = [Volume(f"v{i}", 0, rng.standard_normal(config.input_shape).astype(dtype))
-                   for i in range(11)]
-        # each sub-block's tokens are overwritten by the next, so keep copies
-        got = [(s, x.copy()) for s, x in TR._sub_blocks(volumes, params)]
-        assert [s for s, _ in got] == [slice(0, 8), slice(8, 11)]
-        stacked = np.stack([v.voxels for v in volumes]).astype(np.float32)
-        np.testing.assert_array_equal(np.concatenate([x for _, x in got]),
-                                      np.stack([M.tokenize(v, config) for v in stacked]))
-        assert all(x.dtype == np.float32 for _, x in got)
 
     def test_predict_probs_holds_no_copy_of_the_set(self):
         """96 reference volumes are 48 MB; a pass must peak below half that
@@ -588,17 +588,18 @@ class TestWorkerPool:
         pool_of(1)
         probs1, eval1 = self.run_both(config, params, volumes)
         pool_of(2)
-        real = TR._chunk_logits
+        real = M.forward_logits
+        ids = {id(v.voxels): v.id for v in volumes}
         finished = []
 
         def first_chunk_last(chunk, params):
-            if chunk[0] is volumes[0]:
+            if chunk[0] is volumes[0].voxels:
                 time.sleep(0.3)
             out = real(chunk, params)
-            finished.append(chunk[0].id)
+            finished.append(ids[id(chunk[0])])
             return out
 
-        monkeypatch.setattr(TR, "_chunk_logits", first_chunk_last)
+        monkeypatch.setattr(M, "forward_logits", first_chunk_last)
         probs2, eval2 = self.run_both(config, params, volumes)
         # each call cuts its batches of 40 and 27 into chunks of 20, 20, 16, 11
         assert len(finished) == 8 and finished[3::4] == ["v0", "v0"]
@@ -621,7 +622,7 @@ class TestWorkerPool:
         assert not after.is_alive()
         np.testing.assert_array_equal(got[0], TR.predict_probs(params, config, volumes, 40))
 
-    @pytest.mark.parametrize("chunk_fn", ["_chunk_logits", "_chunk_gradient"])
+    @pytest.mark.parametrize("chunk_fn", ["forward_logits", "_chunk_gradient"])
     def test_an_error_drops_the_chunks_not_started(self, pool_of, monkeypatch, chunk_fn):
         """Six chunks on one worker: the first raises, and the others would
         sleep. The error reaches the caller, and at most the chunk the worker
@@ -630,16 +631,18 @@ class TestWorkerPool:
         config, params, volumes = worker_sets(192)
         pool_of(1)
         started = []
+        ids = {id(v.voxels): v.id for v in volumes}
 
         def chunk_call(chunk, params):
-            started.append(chunk[0].id)
-            if chunk[0] is volumes[0]:
+            # an inference chunk is the volumes' voxels, a training chunk the volumes
+            started.append(ids[id(getattr(chunk[0], "voxels", chunk[0]))])
+            if started[-1] == "v0":
                 raise NumericError("chunk 0 failed")
             time.sleep(0.5)
 
-        monkeypatch.setattr(TR, chunk_fn, chunk_call)
+        monkeypatch.setattr(M if chunk_fn == "forward_logits" else TR, chunk_fn, chunk_call)
         with pytest.raises(NumericError, match="chunk 0 failed"):
-            if chunk_fn == "_chunk_logits":
+            if chunk_fn == "forward_logits":
                 TR.predict_probs(params, config, volumes[:48], 8)  # 6 batches of 8
             else:
                 TR._batch_gradient(params, volumes)  # 6 chunks of 32
@@ -808,23 +811,21 @@ class TestTrainingWorkers:
     def test_chunk_tape_after_forward(self):
         """After the forward of a 32-volume reference chunk its tape holds
         at most 26 MB (23.4 MB; 30.4 MB while the FFN's ReLU, the residual
-        additions and their inputs were tape nodes of their own)."""
+        additions and their inputs were tape nodes of their own): the embed
+        is one node that keeps no tokens."""
         import tracemalloc
 
         config = M.ModelConfig()
         params = M.ModelParams.initialize(config, seed=0)
         rng = np.random.default_rng(16)
-        tokens = np.stack([M.tokenize(v, config) for v in
-                           rng.random((32,) + config.input_shape, dtype=np.float32)])
-        z = T.Tensor(M.embed(tokens, params).data, requires_grad=True)
-        del tokens
+        volumes = list(rng.random((32,) + config.input_shape, dtype=np.float32))
         tracemalloc.start()
         try:
             with T.Tape() as tape:
-                logits = M.classifier_logits(M.encode(z, params), params)
+                logits = M.forward_logits(volumes, params)
                 T.softmax_cross_entropy(logits, np.arange(32) % config.num_classes)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(tape.nodes) == 9 * config.num_layers + 4
+        assert len(tape.nodes) == 9 * config.num_layers + 5
         assert held <= 26 * 2**20, held / 2**20
