@@ -296,7 +296,6 @@ def cmd_preprocess(run: RunConfig, args) -> int:
         written[filename] = entry.path
     out_dir = run.paths.out_dir
     _refuse_nonempty_dir(out_dir, args.force)
-    os.makedirs(out_dir, exist_ok=True)
     k = run.preprocess.central_slices
     if k is None:
         k = run.model.slices
@@ -312,6 +311,7 @@ def cmd_preprocess(run: RunConfig, args) -> int:
         volume = data.resample_slices(volume, run.model.height, run.model.width)
         volume = data.normalize_intensity(volume, run.preprocess.normalize)
         filename = os.path.basename(entry.path)
+        os.makedirs(out_dir, exist_ok=True)  # once a volume exists, so a failed run leaves none
         data.write_volume(volume, os.path.join(out_dir, filename))
         processed.append(dataclasses.replace(entry, path=filename))
     if not processed:

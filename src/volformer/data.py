@@ -584,9 +584,9 @@ def gen_synthetic(n_per_class: int, extents: Sequence[int], seed: int, out_dir,
     """Write a balanced labeled VVOL dataset of blob volumes into out_dir.
 
     Volume (c, i) draws from its own derived stream, so the dataset is a
-    pure function of (seed, shape, noise_sigma).
+    pure function of (seed, shape, noise_sigma). out_dir is made once the
+    first volume exists, so a volume too large to allocate leaves none.
     """
-    os.makedirs(out_dir, exist_ok=True)
     entries = []
     n_classes = len(class_names)
     for c in range(n_classes):
@@ -597,6 +597,7 @@ def gen_synthetic(n_per_class: int, extents: Sequence[int], seed: int, out_dir,
             name = f"c{c}_{i:04d}"
             filename = f"{name}.vvol"
             volume = Volume(id=name, label=c, voxels=vox, subject_id=f"subj_{name}")
+            os.makedirs(out_dir, exist_ok=True)
             write_volume(volume, os.path.join(out_dir, filename))
             entries.append(ManifestEntry(path=filename, label=c,
                                          subject_id=f"subj_{name}", split=None))

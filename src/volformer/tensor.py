@@ -3,7 +3,9 @@
 numpy supplies storage and BLAS; gradient propagation is done here. Ops
 executed while a Tape is active append (inputs, output, vjp) nodes in
 execution order, which is already a topological order, so a single
-reversed walk backpropagates every node exactly once. The gradients stay
+reversed walk backpropagates every node exactly once. The walk consumes
+the tape, dropping each node once its VJP has run, so activation memory
+falls as it goes and a tape backs one backward call. The gradients stay
 on the tape: no tensor is written, so tapes on several threads may record
 onto the same leaves. Without an active tape the same ops run as plain
 numpy (inference mode).
@@ -83,7 +85,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.grads: list[np.ndarray] = []  # set by backward
+        self.grads: Optional[list[np.ndarray]] = None  # set by backward
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.tapes.append(self)
@@ -96,25 +98,33 @@ class Tape:
     def backward(self, loss: Tensor, leaves: Sequence[Tensor]) -> None:
         """Set self.grads to the gradient of loss with respect to each of
         leaves, in order: zeros for a leaf the loss does not reach, and
-        twice for a leaf listed twice. No tensor is written, and calling
-        backward twice on the same tape yields bit-identical results.
+        twice for a leaf listed twice. No tensor is written.
+
+        The walk empties self.nodes, dropping each node (its output, inputs
+        and VJP closure) once its VJP has run, so a tape backs one backward
+        call: a second call is a UsageError. Record a new tape to take
+        gradients again.
         """
+        if self.grads is not None:
+            raise UsageError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-        grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
-            g = grads.pop(id(node.output), None)
+        self.grads = []  # spent from here on, even if a VJP raises
+        # keyed by the tensor, which hashes by identity: a dropped node's
+        # tensors cannot alias a live one, as a reused id() could
+        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+        while self.nodes:
+            node = self.nodes.pop()
+            g = grads.pop(node.output, None)
             if g is None:
                 continue
             for tensor, ig in zip(node.inputs, node.vjp(g)):
                 if ig is None or not tensor.requires_grad:
                     continue
-                key = id(tensor)
-                acc = grads.get(key)
-                grads[key] = ig if acc is None else acc + ig
+                acc = grads.get(tensor)
+                grads[tensor] = ig if acc is None else acc + ig
         # a leaf is never a node's output, so its gradient is never popped
-        self.grads = [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
-                      for t in leaves]
+        self.grads = [grads[t] if t in grads else np.zeros_like(t.data) for t in leaves]
 
 
 def _active_tape() -> Optional[Tape]:

@@ -91,6 +91,7 @@ class TestSynth:
         assert "cannot allocate a volume of shape (32, 200000, 200000, 1)" in done.stderr
         assert "Traceback" not in done.stderr
         assert not (tmp_path / "manifest.jsonl").exists()
+        assert not (tmp_path / "data").exists()
 
 
 class TestPreprocess:
@@ -123,7 +124,7 @@ class TestPreprocess:
         assert done.returncode == 1, done.stderr
         assert "cannot allocate a volume of shape (4, 300000, 300000, 1)" in done.stderr
         assert "Traceback" not in done.stderr
-        assert not list((tmp_path / "processed").glob("*.vvol"))
+        assert not (tmp_path / "processed").exists()
 
     def test_empty_manifest_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the tensor kernel and its reverse-mode gradients."""
 
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -187,11 +188,11 @@ class TestBackward:
     def test_unused_leaf_gets_zeros(self):
         """One gradient per listed leaf, in the order of the list."""
         x, unused = leaf([1.0, 2.0]), leaf([[3.0]])
-        with T.Tape() as tape:
-            out = project(x, np.ones(2))
         for leaves, want in (([x, unused], [[1.0, 1.0], [[0.0]]]),
                              ([unused, x], [[[0.0]], [1.0, 1.0]]),
                              ([unused, x, unused], [[[0.0]], [1.0, 1.0], [[0.0]]])):
+            with T.Tape() as tape:
+                out = project(x, np.ones(2))
             tape.backward(out, leaves)
             assert len(tape.grads) == len(want)
             for got, expected in zip(tape.grads, want):
@@ -205,17 +206,41 @@ class TestBackward:
             tape.backward(out, [x])
 
     def test_backward_deterministic_bit_identical(self):
+        """Two tapes of the same forward give the same gradient bits."""
         rng = np.random.default_rng(7)
         x, w = leaf(rng.standard_normal((4, 5))), leaf(rng.standard_normal((5, 3)))
+
+        def grads(leaves):
+            with T.Tape() as tape:
+                out = T.reduce_mean(T.softmax(matmul(x, w), axis=-1))
+            tape.backward(out, leaves)
+            return tape.grads
+
+        dx, dw = grads([x, w])
+        again = grads([w, x, w])
+        assert len(again) == 3
+        np.testing.assert_array_equal(again[0], dw)
+        np.testing.assert_array_equal(again[1], dx)
+        np.testing.assert_array_equal(again[2], dw)
+
+    def test_backward_frees_each_node_and_consumes_the_tape(self):
+        """The ReLU output that linear's VJP closes over dies during
+        backward, while the tape itself lives on; a second backward on the
+        spent tape is refused."""
+        x = leaf([[-1.0], [2.0]])
         with T.Tape() as tape:
-            out = T.reduce_mean(T.softmax(matmul(x, w), axis=-1))
-        tape.backward(out, [x, w])
-        dx, dw = tape.grads
-        tape.backward(out, [w, x, w])
-        assert len(tape.grads) == 3
-        np.testing.assert_array_equal(tape.grads[0], dw)
-        np.testing.assert_array_equal(tape.grads[1], dx)
-        np.testing.assert_array_equal(tape.grads[2], dw)
+            hidden = T.linear(x, leaf(np.eye(1)), leaf([0.0]), relu=True)
+            out = project(hidden, np.ones(2))
+        node = tape.nodes[0]
+        assert any(cell.cell_contents is hidden.data for cell in node.vjp.__closure__)
+        freed = weakref.ref(hidden.data)
+        del node, hidden
+        assert freed() is not None
+        tape.backward(out, [x])
+        assert freed() is None and tape.nodes == []
+        np.testing.assert_array_equal(tape.grads[0], [[0.0], [1.0]])
+        with pytest.raises(UsageError):
+            tape.backward(out, [x])
 
     def test_matmul_vjp_skips_operands_without_grad(self):
         """linear's VJP gives no gradient to an input that needs none."""
