@@ -9,9 +9,6 @@ The package is organized as submodules; import what you need:
     volformer.metrics   -- confusion matrices and derived metrics
     volformer.checkpoint -- VVCK model checkpoint files
     volformer.cli       -- the `volformer` command
-
-This top-level module deliberately imports nothing heavy so the CLI can set
-BLAS thread counts before numpy loads.
 """
 
 __version__ = "0.1.0"

@@ -15,8 +15,6 @@ mismatch.
 
 Training and inference run their chunks on a pool of worker threads, one
 per CPU the process may run on; results do not depend on the count.
-Importing this module defaults every BLAS pool to one thread per worker,
-before it imports numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +26,10 @@ import math
 import os
 import sys
 
+from . import checkpoint, data, metrics, model, rng, training
+from .errors import (CheckpointMismatchError, ConfigError, DataError, DimensionError,
+                     FormatError, NumericError, UsageError, require_field_types)
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
@@ -35,23 +37,6 @@ EXIT_MISMATCH = 3
 # cv lists a report and a checkpoint path per fold of each repetition
 # before it trains any, so --repeats is bounded before those lists exist.
 MAX_REPEATS = 1000
-
-_THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _one_blas_thread() -> None:
-    """Default each BLAS pool to one thread: every chunk worker makes its
-    own BLAS calls, so more threads would only contend for the cores."""
-    for var in _THREAD_ENV_VARS:
-        os.environ.setdefault(var, "1")
-
-
-_one_blas_thread()  # BLAS reads its thread count once, when numpy loads
-from . import checkpoint, data, metrics, model, rng, training  # noqa: E402
-from .errors import (CheckpointMismatchError, ConfigError, DataError,  # noqa: E402
-                     DimensionError, FormatError, NumericError, UsageError,
-                     require_field_types)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -178,16 +178,21 @@ def count_params(config: ModelConfig) -> int:
 class ModelParams:
     """All learnable weights as leaf tensors over one vector.
 
-    `flat` is a 1-D array holding every parameter back to back in
-    parameter_shapes order, which is also the VVCK data order, and
-    `params[name]` is a leaf tensor whose data is a view into it. Updates
-    write in place: a tensor whose .data was rebound would leave flat.
+    `flat` is a 1-D float32 or float64 array holding every parameter back
+    to back in parameter_shapes order, which is also the VVCK data order,
+    and `params[name]` is a leaf tensor whose data is a view into it.
+    Updates write in place: a tensor whose .data was rebound would leave
+    flat.
     """
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         if flat.shape != (count_params(config),):
             raise UsageError(f"flat parameter vector of shape {flat.shape}; the config "
                              f"has {count_params(config)} parameters")
+        if flat.dtype not in (np.float32, np.float64):
+            # Tensor would copy any other dtype, cutting its views off flat
+            raise UsageError(f"flat parameter vector of dtype {flat.dtype}; parameters "
+                             "are float32 or float64")
         self.config = config
         self.flat = flat
         self._arrays = {}

@@ -4,9 +4,11 @@ model.forward_logits call, taped on the worker for a training chunk."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import numbers
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -69,12 +71,17 @@ def adam_step(params: M.ModelParams, grad: np.ndarray, state: AdamState,
     """One bias-corrected Adam update of params.flat in place, from grad in
     the same layout.
 
-    The gradient is checked for finiteness before anything mutates, so a
-    bad step aborts cleanly (NumericError, naming the first parameter that
-    holds a non-finite entry) with params and state intact.
+    The gradient is checked before anything mutates, so a bad step aborts
+    cleanly with params and state intact: a grad not of params.flat's shape
+    is a UsageError (a scalar would broadcast to every parameter), and a
+    non-finite entry a NumericError naming the first parameter holding one.
     """
+    if np.shape(grad) != params.flat.shape:
+        raise UsageError(f"gradient of shape {np.shape(grad)}; the parameters have shape "
+                         f"{params.flat.shape}")
     if not np.isfinite(grad).all():
-        for name, tensor in M.ModelParams(params.config, grad).named_parameters():
+        named = M.ModelParams(params.config, np.asarray(grad, params.flat.dtype))
+        for name, tensor in named.named_parameters():
             if not np.isfinite(tensor.data).all():
                 raise NumericError(f"non-finite gradient in '{name}'; step aborted")
     t = state.step_count + 1
@@ -138,10 +145,31 @@ def _inference_chunks(n: int, workers: int) -> list[slice]:
 
 # The chunk worker pool: one thread per CPU this process may run on (taskset
 # or a cpuset sets that). numpy releases the GIL inside BLAS and long ufunc
-# loops, so workers with one BLAS thread each keep that many cores busy.
+# loops, so workers with one BLAS thread each keep that many cores busy; with
+# a default-size BLAS pool each they contend for the cores (predict_probs on
+# 200 reference volumes at batch 128, 2 cores: 152 ms against 88 ms). So
+# importing this module sets numpy's OpenBLAS to one thread, process-wide.
 # The threads start on the first submit, not at import.
 _WORKERS = len(os.sched_getaffinity(0))
 _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="volformer")
+
+
+def _one_blas_thread() -> None:
+    """Call the OpenBLAS setter that dlsym finds among the libraries numpy's
+    linalg extension links (bundled, 64-bit-integer or plain OpenBLAS), or
+    warn when there is none: numpy was built on another BLAS."""
+    blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        if hasattr(blas, name):
+            getattr(blas, name)(1)
+            return
+    warnings.warn("numpy's BLAS has no OpenBLAS thread setter, so volformer's chunk workers "
+                  "may contend for the cores; set OMP_NUM_THREADS=1 before numpy loads",
+                  RuntimeWarning)
+
+
+_one_blas_thread()
 
 
 def _chunk_gradient(chunk: Sequence[Volume], params: M.ModelParams) -> tuple[float, np.ndarray]:

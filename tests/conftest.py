@@ -5,22 +5,14 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-# Importing the CLI defaults every BLAS pool to one thread before it loads
-# numpy, as the volformer command does: each chunk worker makes its own BLAS
-# calls, and a pool per worker at the default size oversubscribes the cores.
-NUMPY_LOADED_FIRST = "numpy" in sys.modules
-import volformer.cli  # noqa: E402,F401
-
-import numpy as np  # noqa: E402
-
-import volformer  # noqa: E402
-from gradcheck import reshape  # noqa: E402
-from volformer import tensor as T  # noqa: E402
-from volformer.model import (ModelConfig, ModelParams, count_params,  # noqa: E402
-                             parameter_shapes)
-from volformer.rng import Rng  # noqa: E402
+import volformer
+from gradcheck import reshape
+from volformer import tensor as T
+from volformer.model import ModelConfig, ModelParams, count_params, parameter_shapes
+from volformer.rng import Rng
 
 SRC_DIR = os.path.dirname(os.path.dirname(volformer.__file__))
 

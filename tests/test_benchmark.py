@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("workload, trace", [
     pytest.param("train_b128", 0, id="train_b128"),
     pytest.param("infer_b128", 0, id="infer_b128"),
+    pytest.param("predict_one", 0, id="predict_one"),
     pytest.param("train_b128", 1, id="train_b128-trace"),
     pytest.param("infer_b128", 1, id="infer_b128-trace"),
 ])

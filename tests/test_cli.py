@@ -913,34 +913,6 @@ class TestConfigHandling:
         assert main(["inspect", "--config", str(cfg), "--quiet"]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
-    def test_thread_cap_env(self, monkeypatch):
-        """The CLI defaults every BLAS pool to one thread."""
-        from volformer.cli import _one_blas_thread
-
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _one_blas_thread()
-        assert os.environ["OMP_NUM_THREADS"] == "1"
-
-    def test_thread_cap_set_before_numpy_loads(self):
-        """In a fresh interpreter, the BLAS variables read one thread by the
-        time the CLI first imports numpy."""
-        done = run_fresh(script=textwrap.dedent("""
-            import os, sys
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-            seen = []
-
-            class Watch:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" and not seen:
-                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
-
-            sys.meta_path.insert(0, Watch())
-            from volformer import cli
-            code = cli.main(["inspect", "--quiet"])
-            print(code, seen, file=sys.stderr)
-        """))
-        assert done.stderr.strip().splitlines()[-1] == "0 ['1']"
-
     def test_pool_threads_start_on_the_first_chunk(self):
         """Pinned to one CPU, the pool has one worker. Importing the CLI
         starts no thread, and one predict_probs call starts that one."""
@@ -959,13 +931,6 @@ class TestConfigHandling:
         """))
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["1 1", "['MainThread', 'volformer']"]
-
-    def test_tests_load_numpy_after_the_blas_default(self):
-        """tests/conftest.py imports the CLI before numpy, so the suite runs
-        its chunk workers with one BLAS thread each, as the command does."""
-        import conftest
-
-        assert not conftest.NUMPY_LOADED_FIRST
 
     def test_nul_in_a_path_key_exits_1_before_any_work(self, synth_env, capsys,
                                                       monkeypatch):

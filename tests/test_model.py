@@ -148,6 +148,13 @@ class TestParameterLayout:
         with pytest.raises(UsageError, match=rf"shape \({shape[0]},.*2115 parameters"):
             M.ModelParams(tiny, np.zeros(shape, np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.complex128])
+    def test_flat_of_another_dtype_rejected(self, tiny, dtype):
+        """Tensor would copy each view of such a vector, so a write to flat
+        (Adam's, say) would never reach the parameters."""
+        with pytest.raises(UsageError, match=f"dtype {np.dtype(dtype)}"):
+            M.ModelParams(tiny, np.zeros(M.count_params(tiny), dtype))
+
 
 class TestExtractTubelets:
     def test_enumeration_oracle(self):

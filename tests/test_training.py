@@ -3,7 +3,9 @@
 import importlib.util
 import json
 import math
+import re
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import embed_tokens, random_params, split_flat, tiny_config
+from conftest import embed_tokens, random_params, run_fresh, split_flat, tiny_config
 from gradcheck import finite_difference_check
 from volformer import model as M
 from volformer import tensor as T
@@ -126,10 +128,10 @@ class TestAdam:
             np.testing.assert_array_equal(split_flat(cfg, state.m)[name], m[name])
             np.testing.assert_array_equal(split_flat(cfg, state.v)[name], v[name])
 
-    def nonfinite_step(self, name, bad, index):
-        """A step, then a step whose gradient holds `bad` at entry `index`
-        of the slice of `name`: it must name that parameter and leave the parameters and
-        the whole Adam state as they were."""
+    def nonfinite_step(self, name, bad, index, dtype=np.float32):
+        """A step, then a step whose gradient (of dtype) holds `bad` at entry
+        `index` of the slice of `name`: it must name that parameter and leave
+        the parameters and the whole Adam state as they were."""
         cfg, params, state = self._setup()
         rng = np.random.default_rng(4)
         TR.adam_step(params, rng.standard_normal(params.flat.size).astype(np.float32),
@@ -138,7 +140,7 @@ class TestAdam:
         grad = rng.standard_normal(params.flat.size).astype(np.float32)
         split_flat(cfg, grad)[name].flat[index] = bad
         with pytest.raises(NumericError, match=f"'{name}'"):
-            TR.adam_step(params, grad, state, TR.TrainConfig())
+            TR.adam_step(params, grad.astype(dtype), state, TR.TrainConfig())
         assert state.step_count == 1
         for old, now in zip(before, (params.flat, state.m, state.v)):
             np.testing.assert_array_equal(now, old)
@@ -151,6 +153,23 @@ class TestAdam:
                                                   ("head.bias", np.nan, -1)])
     def test_nonfinite_entry_names_its_parameter(self, name, bad, index):
         self.nonfinite_step(name, bad, index)
+
+    def test_nonfinite_float16_gradient_names_its_parameter(self):
+        self.nonfinite_step("embed.bias", np.inf, 0, np.float16)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (1, 1243), (1244,)],
+                             ids=["scalar", "length-3", "row", "one-too-many"])
+    def test_gradient_of_another_shape_rejected_before_mutation(self, shape):
+        """A scalar would broadcast to every parameter, and a vector of
+        another length would fail halfway through the update."""
+        cfg, params, state = self._setup()
+        assert params.flat.shape == (1243,)
+        before = [params.flat.copy(), state.m.copy(), state.v.copy()]
+        with pytest.raises(UsageError, match=re.escape(f"gradient of shape {shape};")):
+            TR.adam_step(params, np.ones(shape, np.float32), state, TR.TrainConfig())
+        assert state.step_count == 0
+        for old, now in zip(before, (params.flat, state.m, state.v)):
+            np.testing.assert_array_equal(now, old)
 
     def test_state_scalar_count(self):
         """The moments are two vectors in the layout of params.flat."""
@@ -851,3 +870,46 @@ class TestTrainingWorkers:
         finally:
             tracemalloc.stop()
         assert peak <= 26 * 2**20, peak / 2**20
+
+
+class TestBlasThreads:
+    """Importing volformer.training sets numpy's OpenBLAS to one thread for
+    the whole process, so each chunk worker runs single-threaded BLAS calls
+    and the workers do not contend for the cores."""
+
+    def test_import_sets_one_blas_thread_after_numpy_loads(self):
+        """numpy loads with OpenBLAS asked for two threads; importing
+        volformer.training afterwards leaves its getter reading one."""
+        done = run_fresh(script=textwrap.dedent("""
+            import ctypes, os
+            os.environ["OPENBLAS_NUM_THREADS"] = "2"
+            import numpy
+            blas = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+            if not hasattr(blas, "scipy_openblas_get_num_threads64_"):
+                raise SystemExit("no scipy-openblas getter")
+            import volformer.training
+            print(blas.scipy_openblas_get_num_threads64_())
+        """))
+        if done.stderr.strip() == "no scipy-openblas getter":
+            pytest.skip("numpy does not bundle scipy-openblas")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1"]
+
+    def test_without_an_openblas_setter_the_import_warns_once(self):
+        """A numpy built on another BLAS: the import warns once, with a
+        RuntimeWarning naming the variable to set, and goes on."""
+        done = run_fresh(script=textwrap.dedent("""
+            import ctypes, types, warnings
+            import numpy
+            ctypes.CDLL = lambda path: types.SimpleNamespace()  # no OpenBLAS symbol
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                import volformer.training
+                import volformer.cli
+            for w in caught:
+                print(w.category.__name__, w.message)
+        """))
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("RuntimeWarning ") and "OMP_NUM_THREADS=1" in lines[0]
