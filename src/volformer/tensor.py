@@ -1,14 +1,17 @@
 """Dense tensors with taped reverse-mode differentiation.
 
 numpy supplies storage and BLAS; gradient propagation is done here. Ops
-executed while a Tape is active append (inputs, output, vjp) nodes in
-execution order, which is already a topological order, so a single
-reversed walk backpropagates every node exactly once. The walk consumes
-the tape, dropping each node once its VJP has run, so activation memory
-falls as it goes and a tape backs one backward call. The gradients stay
-on the tape: no tensor is written, so tapes on several threads may record
-onto the same leaves. Without an active tape the same ops run as plain
-numpy (inference mode).
+executed while a Tape is active append (output key, input keys, vjp) nodes
+in execution order, which is already a topological order, so a single
+reversed walk backpropagates every node exactly once. A node names its
+tensors by key and holds none of them, and each VJP closure keeps only the
+arrays, shapes and flags it reads (or a parameter, which lives anyway), so
+an activation that no backward step reads is freed as soon as the forward
+no longer needs it. The walk consumes the tape, dropping each node once
+its VJP has run, so activation memory falls as it goes and a tape backs
+one backward call. The gradients stay on the tape: no tensor is written,
+so tapes on several threads may record onto the same leaves. Without an
+active tape the same ops run as plain numpy (inference mode).
 
 Float32 is the training precision; float64 is used by the tests'
 finite-difference oracle (tests/gradcheck.py). Mixing the two in one op
@@ -29,9 +32,14 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """N-d float array; requires_grad marks it for Tape.backward."""
+    """N-d float array; requires_grad marks it for Tape.backward.
 
-    __slots__ = ("data", "requires_grad")
+    key names the tensor on a tape: a fresh object, which a node that
+    holds it keeps alive, so it cannot be reused for another tensor the way
+    an id() could once the tensor itself is freed.
+    """
+
+    __slots__ = ("data", "requires_grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -39,6 +47,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
+        self.key = object()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -57,9 +66,13 @@ class Tensor:
 
 
 class _Node:
+    """One op on a tape: its output's key, its inputs' keys (None for an
+    input that needs no gradient) and its VJP, which maps the output's
+    gradient to one gradient (or None) per input."""
+
     __slots__ = ("output", "inputs", "vjp")
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable):
+    def __init__(self, output: object, inputs: tuple[Optional[object], ...], vjp: Callable):
         self.output = output
         self.inputs = inputs
         self.vjp = vjp
@@ -81,6 +94,8 @@ class Tape:
 
     Use as a context manager; only the innermost active tape of the
     calling thread records, so ops run on other threads never reach it.
+    Its nodes hold tensor keys and the arrays their VJPs read, never a
+    tensor.
     """
 
     def __init__(self):
@@ -92,39 +107,41 @@ class Tape:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.tapes.pop()
-        assert popped is self, "tapes must unwind in LIFO order"
+        tapes = _TAPE_STACK.tapes
+        if not tapes or tapes[-1] is not self:
+            raise UsageError("a tape must be exited on the thread that entered it, "
+                             "innermost first")
+        tapes.pop()
 
     def backward(self, loss: Tensor, leaves: Sequence[Tensor]) -> None:
         """Set self.grads to the gradient of loss with respect to each of
         leaves, in order: zeros for a leaf the loss does not reach, and
         twice for a leaf listed twice. No tensor is written.
 
-        The walk empties self.nodes, dropping each node (its output, inputs
-        and VJP closure) once its VJP has run, so a tape backs one backward
-        call: a second call is a UsageError. Record a new tape to take
-        gradients again.
+        The walk empties self.nodes, dropping each node (its keys and VJP
+        closure) once its VJP has run, so a tape backs one backward call: a
+        second call is a UsageError. Record a new tape to take gradients
+        again.
         """
         if self.grads is not None:
             raise UsageError("this tape's backward has already run; record a new tape")
         if loss.data.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.data.shape}")
         self.grads = []  # spent from here on, even if a VJP raises
-        # keyed by the tensor, which hashes by identity: a dropped node's
-        # tensors cannot alias a live one, as a reused id() could
-        grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+        grads: dict[object, np.ndarray] = {loss.key: np.ones_like(loss.data)}
         while self.nodes:
             node = self.nodes.pop()
             g = grads.pop(node.output, None)
             if g is None:
                 continue
-            for tensor, ig in zip(node.inputs, node.vjp(g)):
-                if ig is None or not tensor.requires_grad:
+            for key, ig in zip(node.inputs, node.vjp(g)):
+                if key is None or ig is None:
                     continue
-                acc = grads.get(tensor)
-                grads[tensor] = ig if acc is None else acc + ig
+                acc = grads.get(key)
+                grads[key] = ig if acc is None else acc + ig
         # a leaf is never a node's output, so its gradient is never popped
-        self.grads = [grads[t] if t in grads else np.zeros_like(t.data) for t in leaves]
+        self.grads = [grads[t.key] if t.key in grads else np.zeros_like(t.data)
+                      for t in leaves]
 
 
 def _active_tape() -> Optional[Tape]:
@@ -133,11 +150,15 @@ def _active_tape() -> Optional[Tape]:
 
 
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """Wrap out_data as the output of an op on inputs and, on an active
+    tape, append its node. vjp must hold no input tensor, only what it
+    reads, or the tape keeps that tensor's array alive until backward."""
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=track)
     if track:
-        tape.nodes.append(_Node(out, inputs, vjp))
+        keys = tuple(t.key if t.requires_grad else None for t in inputs)
+        tape.nodes.append(_Node(out.key, keys, vjp))
     return out
 
 
@@ -169,9 +190,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
 
     One tape node: one GEMM over the rows of x, which reads the weight
     once for all of them, with the bias and the epilogue applied in place
-    on its output. The tape keeps that output only: the ReLU's VJP masks
-    by out > 0, which holds exactly where x @ w + b was > 0, so the
-    subgradient at 0 is taken as 0.
+    on its output. The node keeps the rows of x and, with the ReLU only,
+    that output: the ReLU's VJP masks by out > 0, which holds exactly
+    where x @ w + b was > 0, so the subgradient at 0 is taken as 0. The
+    addend is not kept, only its shape.
     """
     inputs = (x, w, b) if addend is None else (x, w, b, addend)
     _check_dtypes(*inputs)
@@ -194,18 +216,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
             raise DimensionError(f"linear: cannot add {addend.shape} to its output "
                                  f"{out.shape}") from exc
 
+    # the VJP keeps arrays, shapes and flags, never a tensor
+    w_data, x_shape, mask = w.data, x.shape, out if relu else None
+    needs = tuple(t.requires_grad for t in inputs)
+    addend_shape = None if addend is None else addend.shape
+
     def vjp(g):
         if relu:
-            g = g * (out > 0)
+            g = g * (mask > 0)
         # an operand that needs no gradient (tokens, constants) gets none:
         # its gradient can be the largest array of the whole backward pass
-        g_rows = g.reshape(-1, w.shape[1])
-        dx = (g_rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        dw = rows.T @ g_rows if w.requires_grad else None
-        db = np.ones(len(g_rows), g.dtype) @ g_rows if b.requires_grad else None
-        if addend is None:
+        g_rows = g.reshape(-1, w_data.shape[1])
+        dx = (g_rows @ w_data.T).reshape(x_shape) if needs[0] else None
+        dw = rows.T @ g_rows if needs[1] else None
+        db = np.ones(len(g_rows), g.dtype) @ g_rows if needs[2] else None
+        if addend_shape is None:
             return dx, dw, db
-        return dx, dw, db, _unbroadcast(g, addend.shape) if addend.requires_grad else None
+        return dx, dw, db, _unbroadcast(g, addend_shape) if needs[3] else None
 
     return _record(out, inputs, vjp)
 
@@ -213,11 +240,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else a.shape[axis]
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, a.shape).astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g / count, shape).astype(dtype, copy=False),)
 
     return _record(out, (a,), vjp)
 
@@ -233,23 +261,36 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     Rejects non-finite input; rows of the output are probability
     vectors (nonnegative, summing to 1 up to rounding).
     """
-    out = np.moveaxis(_softmax_over_slabs(np.moveaxis(a.data, axis, 0).copy()), 0, axis)
+    slabs = np.moveaxis(a.data, axis, 0).copy()
+    _softmax_over_slabs(slabs)
+    out = np.moveaxis(slabs, 0, axis)
     return _record(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
 
 
-def _softmax_over_slabs(x: np.ndarray) -> np.ndarray:
-    """Overwrite a C-contiguous x with its softmax along axis 0 and return it.
+def _softmax_over_slabs(x: np.ndarray, stats: Optional[tuple[np.ndarray, np.ndarray]] = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite a C-contiguous x with its softmax along axis 0 and return
+    its row statistics: the max and the sum of exp(x - max) per row.
 
     Each x[i] is one contiguous slab, so every pass runs over long vectors
     however short the softmax rows are. numpy reduces an outer axis slab by
-    slab, in order: the sum is a sequential running sum.
+    slab, in order: the sum is a sequential running sum. Given the stats of
+    an earlier call on the same x, the same subtraction, exp and division
+    rebuild that call's softmax bit for bit, without the check or either
+    reduction.
     """
-    if not np.isfinite(x).all():
-        raise NumericError("softmax input contains NaN or Inf")
-    x -= x.max(axis=0)
+    if stats is None:
+        if not np.isfinite(x).all():
+            raise NumericError("softmax input contains NaN or Inf")
+        peak = x.max(axis=0)
+    else:
+        peak, total = stats
+    x -= peak
     np.exp(x, out=x)
-    x /= x.sum(axis=0)
-    return x
+    if stats is None:
+        total = x.sum(axis=0)
+    x /= total
+    return peak, total
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -259,8 +300,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     Per head of head_dim = d / num_heads features, softmax(q k^T /
     sqrt(head_dim)) rows weight the values; the heads are concatenated
     back to [B, N, d]. A list sink receives the weights [B, num_heads,
-    N, N] as a strided view. One tape node, which keeps the weights but
-    not the scores.
+    N, N] as a strided view. One tape node, which keeps neither the scores
+    nor the weights but each query row's softmax max and sum, [B,
+    num_heads, N] each (FlashAttention's statistics, Dao et al., 2022):
+    its VJP rebuilds the weights from the kept q and k with the forward's
+    own calls, so they, and every gradient, are the same bits.
     """
     _check_dtypes(q, k, v)
     if q.data.ndim != 3 or not q.shape == k.shape == v.shape or q.shape[-1] % num_heads:
@@ -272,10 +316,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     def split(x):  # [B, N, d] -> [B, heads, N, head_dim] view
         return x.reshape(b, n, num_heads, head_dim).transpose(0, 2, 1, 3)
 
+    dtype = q.dtype  # the VJP's helpers keep no input tensor
+
     def heads_product(a, c):
         """a @ c per head, written through the head views of one [B, N, d]
         array, so the heads need no merge copy."""
-        out = np.empty((b, n, d), q.dtype)
+        out = np.empty((b, n, d), dtype)
         np.matmul(a, c, out=split(out))
         return out
 
@@ -284,7 +330,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         contiguous slab of B * heads * N_q entries per key. The right
         operand goes contiguous: on 32 reference volumes (one BLAS thread)
         the product took 254 us on the strided view and 101 us on a copy."""
-        buf = np.empty((n, b, num_heads, n), q.dtype)
+        buf = np.empty((n, b, num_heads, n), dtype)
         np.matmul(keys, np.ascontiguousarray(np.swapaxes(queries, -1, -2)), out=by_key(buf))
         return buf
 
@@ -301,12 +347,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     # row-major weights on 32 reference volumes).
     factor = 1.0 / math.sqrt(head_dim)
     q_s, k_h, v_h = split(q.data) * factor, split(k.data), split(v.data)
-    weights = _softmax_over_slabs(key_major(k_h, q_s))
+    weights = key_major(k_h, q_s)
+    stats = _softmax_over_slabs(weights)
     if sink is not None:
         sink.append(by_query(weights))
     out = heads_product(by_query(weights), v_h)
 
     def vjp(g):
+        # on 32 reference volumes the rebuild took about 200 us (2-core x86
+        # host) and saves 512 KiB of tape per block
+        weights = key_major(k_h, q_s)
+        _softmax_over_slabs(weights, stats)
         g_h = split(g)
         # rowsum(dalpha * alpha) is rowsum over head_dim of g * out, since
         # out = alpha v (Dao et al., 2022): no pass over the N x N weights.
@@ -351,10 +402,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     xhat *= inv
     out = (xhat * gamma.data).reshape(x.shape)
     out += beta.data
+    gamma_data, x_shape = gamma.data, x.shape
 
     def vjp(g):
         g_rows = g.reshape(-1, d)
-        dx = g_rows * gamma.data
+        dx = g_rows * gamma_data
         m2 = xhat * ((dx * xhat) @ mean_weights)
         dx -= dx @ mean_weights
         dx -= m2
@@ -362,7 +414,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         ones = np.ones(len(g_rows), g.dtype)
         dgamma = ones @ (g_rows * xhat)
         dbeta = ones @ g_rows
-        return dx.reshape(x.shape), dgamma, dbeta
+        return dx.reshape(x_shape), dgamma, dbeta
 
     return _record(out, (x, gamma, beta), vjp)
 

@@ -113,8 +113,8 @@ def _check_inputs(params: M.ModelParams, config: M.ModelConfig,
 
 # Every training forward and backward runs on at most _CHUNK volumes: a
 # chunk's tape holds its activations until its backward frees them node by
-# node (23.4 MiB after the forward of 32 reference volumes, 9 nodes per
-# encoder block; the whole chunk gradient peaks at 23.9 MiB), and the cut
+# node (13.3 MiB after the forward of 32 reference volumes, 9 nodes per
+# encoder block; the whole chunk gradient peaks at 14.3 MiB), and the cut
 # sets the low bits of the summed gradient, so both pin it at 32.
 _CHUNK = 32
 # An inference batch runs in chunks of at most _INFER_CHUNK volumes, which

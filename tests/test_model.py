@@ -4,12 +4,14 @@ import math
 import os
 import struct
 import time
+import types
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import embed_tokens, project, random_params, set_config_keys, tiny_config
-from gradcheck import add, finite_difference_check
+from gradcheck import add, attention_vjp_with_weights, finite_difference_check
 from naive_reference import naive_forward, naive_tokens
 from volformer import model as M
 from volformer import tensor as T
@@ -456,6 +458,38 @@ class TestAttentionOp:
             assert np.linalg.norm(grad - want) <= 1e-12 * np.linalg.norm(want)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_heads", [16, 4])
+    def test_rebuilt_weights_give_the_kept_weights_gradients(self, dtype, num_heads):
+        """The VJP rebuilds the weights from q and k; its dq, dk and dv
+        equal, bit for bit, the formulas applied to the weights the
+        forward put in the sink."""
+        rng = np.random.default_rng(num_heads)
+        q, k, v, g = (rng.standard_normal((6, 16, 32)).astype(dtype) for _ in range(4))
+        leaves = [T.Tensor(x, requires_grad=True) for x in (q, k, v)]
+        sink = []
+        with T.Tape() as tape:
+            out = T.attention(*leaves, num_heads, sink)
+        got = tape.nodes[0].vjp(g)
+        want = attention_vjp_with_weights(q, k, v, num_heads, sink[0], out.data, g)
+        for have, wanted in zip(got, want):
+            assert have.dtype == dtype
+            np.testing.assert_array_equal(have, wanted)
+
+    def test_node_keeps_no_weights(self):
+        """Once the caller drops the sink, the weights are freed though the
+        tape lives: the node keeps only their row statistics."""
+        rng = np.random.default_rng(14)
+        leaves = [T.Tensor(rng.standard_normal((3, 16, 32)).astype(np.float32),
+                           requires_grad=True) for _ in "qkv"]
+        sink = []
+        with T.Tape() as tape:
+            T.attention(*leaves, 16, sink)
+        weights = weakref.ref(sink[0].base)
+        del sink
+        assert weights() is None and len(tape.nodes) == 1
+
+
 class TestMhsa:
     def test_single_head_reduces_to_attention(self):
         cfg = tiny_config(num_heads=1)
@@ -689,6 +723,74 @@ class TestForward:
         got = T.softmax(M.forward_logits(vol[None], params32)).data[0]
         expected = naive_forward(vol, arrays, tiny)
         np.testing.assert_allclose(got, expected, atol=1e-5)
+
+
+def _tensors_held(node):
+    """Every Tensor a tape node reaches through its slots and the cells of
+    its VJP closure, looking into tuples, lists and nested closures."""
+    found, seen = [], set()
+    stack = [getattr(node, slot) for slot in type(node).__slots__]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
+class TestTapeRetention:
+    """A tape node holds its tensors' keys, and its VJP only the arrays,
+    shapes and flags it reads: an activation no backward step reads is
+    freed as the forward moves on."""
+
+    def test_nodes_hold_no_tensor_but_parameters(self, tiny):
+        params = random_params(tiny, seed=40, dtype=np.float32)
+        volumes = np.random.default_rng(40).standard_normal((3, 4, 8, 8, 1)) \
+            .astype(np.float32)
+        with T.Tape() as tape:
+            logits = M.forward_logits(volumes, params)
+            T.softmax_cross_entropy(logits, [0, 1, 2])
+        assert len(tape.nodes) == 9 * tiny.num_layers + 5
+        parameters = {id(t) for t in params.tensors()}
+        for node in tape.nodes:
+            assert all(id(t) in parameters for t in _tensors_held(node)), node.vjp
+
+    def test_block_input_dies_once_the_forward_moves_past_it(self, tiny):
+        """The residual stream entering a block is read by its first layer
+        norm and added after the attention, and no VJP reads it."""
+        params = random_params(tiny, seed=41, dtype=np.float32)
+        volumes = np.random.default_rng(41).standard_normal((3, 4, 8, 8, 1)) \
+            .astype(np.float32)
+        with T.Tape() as tape:
+            z = M.embed(volumes, params)
+            block_input = weakref.ref(z.data)
+            z = M.encoder_block(z, params, "layers.0.")
+            assert block_input() is None
+            middle = weakref.ref(z.data)
+            z = M.encoder_block(z, params, "layers.1.")
+            assert middle() is None
+        assert len(tape.nodes) == 1 + 9 * 2
+
+    def test_attention_keeps_no_raw_query(self):
+        """The attention node keeps the scaled heads of q, not the q
+        projection itself."""
+        rng = np.random.default_rng(42)
+        x = T.Tensor(rng.standard_normal((2, 16, 32)).astype(np.float32), requires_grad=True)
+        zero = T.Tensor(np.zeros(32, np.float32))
+        with T.Tape() as tape:
+            q, k, v = (T.linear(x, T.Tensor(rng.standard_normal((32, 32)).astype(np.float32)),
+                                zero) for _ in "qkv")
+            raw = weakref.ref(q.data)
+            T.attention(q, k, v, 16)
+            del q
+            assert raw() is None
+        assert len(tape.nodes) == 4
 
 
 class TestPositionSensitivity:

@@ -287,6 +287,41 @@ class TestBackward:
         assert not worker.is_alive()
         assert tape.nodes == [] and seen == [False, 1]
 
+    def test_misnested_exit_is_refused_and_leaves_the_stack(self):
+        """Exiting the outer tape while the inner one is open is a
+        UsageError (not an assert, which python -O strips), raised before
+        anything is popped: the inner tape still records."""
+        outer, inner = T.Tape(), T.Tape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(UsageError, match="innermost first"):
+                outer.__exit__(None, None, None)
+            assert T._active_tape() is inner
+            add(leaf([1.0]), leaf([1.0]))
+            inner.__exit__(None, None, None)
+            assert T._active_tape() is outer
+        assert T._active_tape() is None
+        assert len(inner.nodes) == 1 and outer.nodes == []
+
+    def test_exit_on_another_thread_is_refused(self):
+        """A tape exited on a thread that did not enter it is a UsageError
+        there, and the entering thread's stack keeps it."""
+        raised = []
+
+        def other():
+            try:
+                tape.__exit__(None, None, None)
+            except UsageError as exc:
+                raised.append(exc)
+
+        with T.Tape() as tape:
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert len(raised) == 1 and T._active_tape() is tape
+        assert T._active_tape() is None
+
 
 def _away_from_kinks(arr, margin=0.05):
     """Shift values whose magnitude is below margin, so relu secants

@@ -829,9 +829,10 @@ class TestTrainingWorkers:
 
     def test_chunk_tape_after_forward(self):
         """After the forward of a 32-volume reference chunk its tape holds
-        at most 26 MB (23.4 MB; 30.4 MB while the FFN's ReLU, the residual
-        additions and their inputs were tape nodes of their own): the embed
-        is one node that keeps no tokens."""
+        at most 15 MiB (13.3 MiB; 23.4 MiB while nodes held their tensors
+        and attention kept its weights, 30.4 MiB while the FFN's ReLU, the
+        residual additions and their inputs were tape nodes of their own):
+        the embed is one node that keeps no tokens."""
         import tracemalloc
 
         config = M.ModelConfig()
@@ -847,14 +848,16 @@ class TestTrainingWorkers:
         finally:
             tracemalloc.stop()
         assert len(tape.nodes) == 9 * config.num_layers + 5
-        assert held <= 26 * 2**20, held / 2**20
+        assert held <= 15 * 2**20, held / 2**20
 
     def test_chunk_backward_peak(self):
-        """A whole 32-volume reference chunk gradient peaks at most 26 MiB
-        (23.9 MiB): backward drops each tape node once its VJP has run, so
-        the embed's VJP, which runs last with its 4 MB token buffer and
-        1 MB weight gradient, finds the tape nearly empty (30.3 MiB while
-        the tape kept every node until it was dropped)."""
+        """A whole 32-volume reference chunk gradient peaks at most 16 MiB
+        (14.3 MiB): attention keeps its softmax row statistics, not its
+        weights, and the nodes hold no tensor (23.9 MiB before). Backward
+        drops each tape node once its VJP has run, so the embed's VJP,
+        which runs last with its 4 MB token buffer and 1 MB weight
+        gradient, finds the tape nearly empty (30.3 MiB while the tape
+        kept every node until it was dropped)."""
         import tracemalloc
 
         config = M.ModelConfig()
@@ -869,7 +872,7 @@ class TestTrainingWorkers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 26 * 2**20, peak / 2**20
+        assert peak <= 16 * 2**20, peak / 2**20
 
 
 class TestBlasThreads:
