@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -127,11 +128,14 @@ def load_run_config(config_path: str | None, set_exprs: list[str],
                     seed: int | None) -> RunConfig:
     doc = {}
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:  # UnicodeDecodeError is a ValueError, as are JSON errors
-                doc = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
+        # decoded as by a text-mode open(): UTF-8 only (json.loads takes UTF-16
+        # and UTF-32 bytes too), universal newlines (a JSON error's line numbers)
+        text = io.TextIOWrapper(io.BytesIO(data.read_regular_file(config_path)),
+                                encoding="utf-8")
+        try:  # UnicodeDecodeError is a ValueError, as are JSON errors
+            doc = json.load(text)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{config_path}: invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: top level must be a JSON object")
     unknown = set(doc) - set(_SECTIONS)

@@ -24,6 +24,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -85,6 +86,22 @@ def write_file(path, content) -> None:
         raise
 
 
+def read_regular_file(path) -> bytes:
+    """The bytes of the regular file at path. Anything else is refused
+    with an OSError naming path before a byte is read: a device such as
+    /dev/zero never ends, and the open of a FIFO, made non-blocking here,
+    would otherwise wait for a writer forever."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            raise OSError(f"input '{path}' is not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            return fh.read(info.st_size)
+    finally:
+        os.close(fd)
+
+
 def _array_record(arr) -> bytes:
     """arr as an array record: a u8 rank, rank u32 extents, then its
     row-major float32 LE data."""
@@ -98,8 +115,7 @@ class _Reader:
     other fault it finds, is a FormatError naming a byte offset."""
 
     def __init__(self, path, magic: bytes):
-        with open(path, "rb") as fh:
-            self.buf = memoryview(fh.read())
+        self.buf = memoryview(read_regular_file(path))
         self.path = path
         self.offset = 0
         found = bytes(self.take(len(magic), "magic"))
@@ -307,33 +323,33 @@ class DatasetManifest:
     def load(cls, path, class_names: Sequence[str] = DEFAULT_CLASS_NAMES
              ) -> "DatasetManifest":
         entries = []
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:  # UnicodeDecodeError is a ValueError, as are JSON errors
-                    line = line.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise FormatError(f"{path}:{lineno}: record must be an object")
-                unknown = set(record) - {f.name for f in fields(ManifestEntry)}
-                if unknown:
-                    raise FormatError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
-                for key, value in record.items():
-                    if key == "label":
-                        ok = type(value) is int  # bool is an int subclass
-                    elif key == "path":
-                        ok = isinstance(value, str) and is_file_name(value)
-                    else:
-                        ok = isinstance(value, str) or value is None
-                    if not ok:
-                        raise FormatError(f"{path}:{lineno}: bad {key} {value!r}")
-                try:
-                    entries.append(ManifestEntry(**record))
-                except TypeError as exc:
-                    raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
+        # lines end at b"\n" only, as a binary file's lines do
+        for lineno, line in enumerate(read_regular_file(path).split(b"\n"), start=1):
+            try:  # UnicodeDecodeError is a ValueError, as are JSON errors
+                line = line.decode("utf-8").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise FormatError(f"{path}:{lineno}: record must be an object")
+            unknown = set(record) - {f.name for f in fields(ManifestEntry)}
+            if unknown:
+                raise FormatError(f"{path}:{lineno}: unknown keys {sorted(unknown)}")
+            for key, value in record.items():
+                if key == "label":
+                    ok = type(value) is int  # bool is an int subclass
+                elif key == "path":
+                    ok = isinstance(value, str) and is_file_name(value)
+                else:
+                    ok = isinstance(value, str) or value is None
+                if not ok:
+                    raise FormatError(f"{path}:{lineno}: bad {key} {value!r}")
+            try:
+                entries.append(ManifestEntry(**record))
+            except TypeError as exc:
+                raise FormatError(f"{path}:{lineno}: bad record: {exc}") from exc
         manifest = cls(entries=entries, class_names=tuple(class_names),
                        base_dir=os.path.dirname(os.path.abspath(path)))
         manifest.validate()

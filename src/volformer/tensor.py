@@ -162,20 +162,11 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> 
     return out
 
 
-def _check_dtypes(*tensors: Tensor) -> None:
-    dtypes = {t.data.dtype for t in tensors}
-    if len(dtypes) > 1:
-        raise UsageError(f"mixed dtypes in one op: {sorted(str(d) for d in dtypes)}")
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum grad over axes that were broadcast to reach its shape."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
+def _check_dtypes(first: Tensor, *rest: Tensor) -> None:
+    dtype = first.data.dtype
+    for t in rest:
+        if t.data.dtype != dtype:
+            raise UsageError(f"mixed dtypes in one op: {dtype} and {t.data.dtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +177,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
            addend: Optional[Tensor] = None) -> Tensor:
     """x @ w + b for x [..., n], a weight w [n, m] and a bias b [m], then
-    either max(., 0) (relu) or + addend, which may broadcast to [..., m].
+    either max(., 0) (relu) or + addend, a tensor of the output's shape
+    [..., m] (a residual).
 
     One tape node: one GEMM over the rows of x, which reads the weight
     once for all of them, with the bias and the epilogue applied in place
     on its output. The node keeps the rows of x and, with the ReLU only,
     that output: the ReLU's VJP masks by out > 0, which holds exactly
     where x @ w + b was > 0, so the subgradient at 0 is taken as 0. The
-    addend is not kept, only its shape.
+    addend's gradient is the output's, so the node keeps nothing of it.
     """
     inputs = (x, w, b) if addend is None else (x, w, b, addend)
     _check_dtypes(*inputs)
@@ -203,23 +195,23 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
                              f"{x.shape}, {w.shape} and {b.shape}")
     if relu and addend is not None:
         raise UsageError("linear takes a ReLU or an addend, not both")
+    out_shape = x.shape[:-1] + w.shape[1:]
+    if addend is not None and addend.shape != out_shape:
+        raise DimensionError(f"linear: addend {addend.shape} is not of its output's "
+                             f"shape {out_shape}")
     rows = x.data.reshape(-1, w.shape[0])
     out = rows @ w.data
     out += b.data
-    out = out.reshape(x.shape[:-1] + w.shape[1:])
+    out = out.reshape(out_shape)
     if relu:
         np.maximum(out, 0, out=out)
     elif addend is not None:
-        try:
-            out += addend.data
-        except ValueError as exc:
-            raise DimensionError(f"linear: cannot add {addend.shape} to its output "
-                                 f"{out.shape}") from exc
+        out += addend.data
 
     # the VJP keeps arrays, shapes and flags, never a tensor
     w_data, x_shape, mask = w.data, x.shape, out if relu else None
     needs = tuple(t.requires_grad for t in inputs)
-    addend_shape = None if addend is None else addend.shape
+    has_addend = addend is not None
 
     def vjp(g):
         if relu:
@@ -230,21 +222,20 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
         dx = (g_rows @ w_data.T).reshape(x_shape) if needs[0] else None
         dw = rows.T @ g_rows if needs[1] else None
         db = np.ones(len(g_rows), g.dtype) @ g_rows if needs[2] else None
-        if addend_shape is None:
+        if not has_addend:
             return dx, dw, db
-        return dx, dw, db, _unbroadcast(g, addend_shape) if needs[3] else None
+        return dx, dw, db, g if needs[3] else None
 
     return _record(out, inputs, vjp)
 
 
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
-    shape, dtype = a.shape, a.dtype
+def reduce_mean(a: Tensor, axis: int) -> Tensor:
+    """The mean of a over one axis, which the output drops."""
+    out = a.data.mean(axis=axis)
+    count, shape, dtype = a.shape[axis], a.shape, a.dtype
 
     def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, shape).astype(dtype, copy=False),)
 
     return _record(out, (a,), vjp)
@@ -255,16 +246,16 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax along one axis.
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stabilized softmax of an array over its last axis, as a
+    new array. No tape op: training differentiates softmax_cross_entropy.
 
     Rejects non-finite input; rows of the output are probability
     vectors (nonnegative, summing to 1 up to rounding).
     """
-    slabs = np.moveaxis(a.data, axis, 0).copy()
+    slabs = np.moveaxis(x, -1, 0).copy()
     _softmax_over_slabs(slabs)
-    out = np.moveaxis(slabs, 0, axis)
-    return _record(out, (a,), lambda g: (out * (g - (g * out).sum(axis, keepdims=True)),))
+    return np.moveaxis(slabs, 0, -1)
 
 
 def _softmax_over_slabs(x: np.ndarray, stats: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -379,7 +370,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     return _record(out, (q, k, v), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalize the last axis to mean 0 / population variance 1, then affine."""
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")

@@ -236,7 +236,7 @@ def predict_probs(params: M.ModelParams, config: M.ModelConfig,
     params.config (see _check_inputs)."""
     _check_inputs(params, config, volumes)
     return np.concatenate([
-        T.softmax(logits).data for _, logits in _batches(volumes, params, batch_size, "predict")])
+        T.softmax(logits.data) for _, logits in _batches(volumes, params, batch_size, "predict")])
 
 
 def _batch_gradient(params: M.ModelParams, volumes: Sequence[Volume]) -> tuple[float, np.ndarray]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import volformer
-from gradcheck import reshape
+from gradcheck import add, reshape
 from volformer import tensor as T
 from volformer.model import ModelConfig, ModelParams, count_params, parameter_shapes
 from volformer.rng import Rng
@@ -61,12 +61,13 @@ def project(t: T.Tensor, c) -> T.Tensor:
 
 def embed_tokens(tokens, params: ModelParams) -> T.Tensor:
     """The embed of [B, N, token_width] tokens as one taped T.linear over
-    all of them: tokens @ embed.weight + embed.bias + pos_embed. An oracle
-    for model.embed, which tokenizes volumes itself, and a way to embed
-    tokens that no volume holds in that order."""
+    all of them, tokens @ embed.weight + embed.bias, and a taped add of
+    pos_embed, broadcast over the batch. An oracle for model.embed, which
+    tokenizes volumes itself, and a way to embed tokens that no volume
+    holds in that order."""
     weight = params["embed.weight"]
-    return T.linear(T.Tensor(np.asarray(tokens, weight.dtype)), weight, params["embed.bias"],
-                    addend=params["pos_embed"])
+    tokens = T.Tensor(np.asarray(tokens, weight.dtype))
+    return add(T.linear(tokens, weight, params["embed.bias"]), params["pos_embed"])
 
 
 def set_config_keys(path, **values) -> None:

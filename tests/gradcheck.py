@@ -8,7 +8,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from volformer.errors import DimensionError, UsageError
-from volformer.tensor import Tape, Tensor, _check_dtypes, _record, _unbroadcast
+from volformer.tensor import Tape, Tensor, _check_dtypes, _record
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum grad over axes that were broadcast to reach its shape."""
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, extent in enumerate(shape):
+        if extent == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

@@ -219,8 +219,8 @@ def test_criterion_05_position_encoding_sensitivity(overfit):
     zeroed = M.ModelParams.initialize(TINY, seed=3, weight_std=0.5)
     zeroed["pos_embed"].data[:] = 0.0
     tokens = rng.standard_normal((8, TINY.token_width)).astype(np.float32)
-    base_probs = T.softmax(T.Tensor(token_logits(tokens, zeroed))).data
-    perm_probs = T.softmax(T.Tensor(token_logits(tokens[perm], zeroed))).data
+    base_probs = T.softmax(token_logits(tokens, zeroed))
+    perm_probs = T.softmax(token_logits(tokens[perm], zeroed))
     equivariant = np.abs(base_probs - perm_probs).max() < 1e-5
 
     trained = overfit["params"]

@@ -477,6 +477,53 @@ class TestTrainEvalPredict:
         assert sorted(os.listdir(tmp_path)) == before
         assert os.listdir(tmp_path / "ckpt") == ["model.vvck"]
 
+    def test_inputs_naming_no_regular_file_exit_2_at_once(self, tmp_path, capsys):
+        """A FIFO given as the checkpoint, a volume, the manifest or the
+        config is refused with exit 2, naming it, without the wait for a
+        writer that opening it for a read would begin. A SIGALRM turns such
+        a wait into a failure, not a hang."""
+        from volformer.checkpoint import save_checkpoint
+        from volformer.model import ModelConfig, ModelParams
+
+        cfg = write_config(tmp_path)
+        checkpoint = str(tmp_path / "model.vvck")
+        save_checkpoint(checkpoint, ModelParams.zeros(ModelConfig(**TINY_MODEL)))
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+
+        def waited(signum, frame):  # not an OSError, which main would map to 2
+            raise AssertionError("an input read waited on a FIFO")
+
+        previous = signal.signal(signal.SIGALRM, waited)
+        try:
+            for argv in (["inspect", "--checkpoint", fifo],
+                         ["predict", "--checkpoint", checkpoint, fifo],
+                         ["train", "--config", str(cfg), "--set", f"paths.manifest={fifo}"],
+                         ["inspect", "--config", fifo]):
+                signal.alarm(10)
+                assert main([*argv, "--quiet"]) == 2, argv
+                signal.alarm(0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert capsys.readouterr().err.count(f"input '{fifo}' is not a regular file") == 4
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("argv", [["inspect", "--checkpoint", "/dev/zero"],
+                                      ["inspect", "--config", "/dev/zero"],
+                                      ["train", "--set", "paths.manifest=/dev/zero"]],
+                             ids=["checkpoint", "config", "manifest"])
+    def test_an_endless_device_input_exits_2(self, tmp_path, argv):
+        """/dev/zero never ends: read whole, it takes all the memory there
+        is. In a child under a 1.5 GB address space, so that a regression
+        fails here instead of exhausting the host, it is refused with exit
+        2 and its name before any read."""
+        done = run_fresh(*argv, "--quiet", address_space_limit=1500 << 20, cwd=tmp_path)
+        assert done.returncode == 2, done.stderr
+        assert "input '/dev/zero' is not a regular file" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert os.listdir(tmp_path) == []
+
     def test_predict_empty_manifest_exits_2(self, tmp_path, capsys):
         from volformer.checkpoint import save_checkpoint
         from volformer.model import ModelConfig, ModelParams

@@ -270,9 +270,10 @@ class TestEmbed:
     def test_equals_one_linear_over_the_stacked_tokens(self):
         """Reference config, float32, 20 volumes in blocks of 8, 8 and 4:
         the output and all three gradients equal one T.linear over the
-        stacked tokens, bit for bit (the weight gradient is a sum of the
-        blocks' GEMMs, so to float32 rounding: 7.9e-7 of its largest entry
-        on one x86 host), and the op's node holds no array."""
+        stacked tokens and an add of pos_embed, bit for bit (the weight
+        gradient is a sum of the blocks' GEMMs, so to float32 rounding:
+        7.9e-7 of its largest entry on one x86 host), and the op's one node
+        holds no array."""
         config = M.ModelConfig()
         rng = np.random.default_rng(30)
         params = M.ModelParams.initialize(config, seed=30, weight_std=0.2)
@@ -297,7 +298,7 @@ class TestEmbed:
         assert np.abs(w_got - w_want).max() <= 1e-5 * np.abs(w_want).max()
         for have, wanted in zip(rest_got, rest_want):
             np.testing.assert_array_equal(have, wanted)
-        assert len(op_nodes) == len(taped_nodes)
+        assert len(op_nodes) + 1 == len(taped_nodes)  # the oracle's add is a node
         assert not any(isinstance(cell.cell_contents, np.ndarray)
                        for cell in op_nodes[0].vjp.__closure__)
 
@@ -653,16 +654,16 @@ class TestClassification:
         params["head.weight"].data[:] = 0.0
         params["head.bias"].data[:] = 0.0
         z = T.Tensor(np.random.default_rng(7).standard_normal((2, 8, 8)))
-        probs = T.softmax(M.classifier_logits(z, params))
-        np.testing.assert_allclose(probs.data, np.full((2, 3), 1 / 3), atol=1e-12)
+        probs = T.softmax(M.classifier_logits(z, params).data)
+        np.testing.assert_allclose(probs, np.full((2, 3), 1 / 3), atol=1e-12)
 
     def test_identical_rows_match_single_row(self, tiny):
         params = random_params(tiny, seed=16)
         row = np.random.default_rng(8).standard_normal(8)
         stacked = T.softmax(M.classifier_logits(
-            T.Tensor(np.tile(row, (1, 8, 1))), params))
-        single = T.softmax(M.classifier_logits(T.Tensor(row[None, None, :]), params))
-        np.testing.assert_allclose(stacked.data, single.data, atol=1e-9)
+            T.Tensor(np.tile(row, (1, 8, 1))), params).data)
+        single = T.softmax(M.classifier_logits(T.Tensor(row[None, None, :]), params).data)
+        np.testing.assert_allclose(stacked, single, atol=1e-9)
 
     def test_hand_logits(self, tiny):
         """Logits [0, ln 3, 0] must produce probabilities [0.2, 0.6, 0.2]."""
@@ -670,8 +671,8 @@ class TestClassification:
         params["final_norm.gamma"].data[:] = 0.0  # pooled output becomes final beta
         params["head.bias"].data[:] = [0.0, math.log(3.0), 0.0]
         z = T.Tensor(np.random.default_rng(9).standard_normal((1, 8, 8)))
-        probs = T.softmax(M.classifier_logits(z, params))
-        np.testing.assert_allclose(probs.data, [[0.2, 0.6, 0.2]], atol=1e-12)
+        probs = T.softmax(M.classifier_logits(z, params).data)
+        np.testing.assert_allclose(probs, [[0.2, 0.6, 0.2]], atol=1e-12)
 
     def test_predicted_class_tie_breaks_low(self):
         preds = M.predict_classes(np.array([[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]]))
@@ -682,21 +683,21 @@ class TestForward:
     def test_identical_volumes_identical_rows(self, tiny):
         params = random_params(tiny, seed=17, dtype=np.float32)
         vol = np.random.default_rng(10).standard_normal((4, 8, 8, 1)).astype(np.float32)
-        probs = T.softmax(M.forward_logits(np.stack([vol, vol, vol]), params)).data
+        probs = T.softmax(M.forward_logits(np.stack([vol, vol, vol]), params).data)
         assert (probs == probs[0]).all()
 
     def test_rows_sum_to_one(self, tiny):
         params = random_params(tiny, seed=18, dtype=np.float32)
         batch = np.random.default_rng(11).standard_normal((6, 4, 8, 8, 1))
-        probs = T.softmax(M.forward_logits(batch.astype(np.float32), params)).data
+        probs = T.softmax(M.forward_logits(batch.astype(np.float32), params).data)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_forward_is_pure(self, tiny):
         params = random_params(tiny, seed=19, dtype=np.float32)
         batch = np.random.default_rng(12).standard_normal((2, 4, 8, 8, 1)) \
             .astype(np.float32)
-        a = T.softmax(M.forward_logits(batch, params)).data
-        b = T.softmax(M.forward_logits(batch, params)).data
+        a = T.softmax(M.forward_logits(batch, params).data)
+        b = T.softmax(M.forward_logits(batch, params).data)
         assert (a == b).all()
 
     def test_wrong_input_shape_rejected(self, tiny):
@@ -710,7 +711,7 @@ class TestForward:
         rng = np.random.default_rng(13)
         for _ in range(3):
             vol = rng.standard_normal((4, 8, 8, 1))
-            got = T.softmax(M.forward_logits(vol[None].astype(np.float64), params)).data[0]
+            got = T.softmax(M.forward_logits(vol[None].astype(np.float64), params).data)[0]
             expected = naive_forward(vol, arrays, tiny)
             np.testing.assert_allclose(got, expected, atol=1e-9)
 
@@ -720,7 +721,7 @@ class TestForward:
                   for name, t in params32.named_parameters()}
         vol = np.random.default_rng(14).standard_normal((4, 8, 8, 1)) \
             .astype(np.float32)
-        got = T.softmax(M.forward_logits(vol[None], params32)).data[0]
+        got = T.softmax(M.forward_logits(vol[None], params32).data)[0]
         expected = naive_forward(vol, arrays, tiny)
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
@@ -797,7 +798,7 @@ class TestPositionSensitivity:
     def _token_probs(self, tokens, params):
         z = embed_tokens(tokens, params)
         z = M.encode(z, params)
-        return T.softmax(M.classifier_logits(z, params), axis=-1).data
+        return T.softmax(M.classifier_logits(z, params).data)
 
     def test_zero_positions_token_permutation_equivariant(self, tiny):
         params = random_params(tiny, seed=22)

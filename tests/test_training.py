@@ -388,7 +388,7 @@ class TestMicroBatches:
             logits = M.forward_logits(voxels[:n], params)
             [(_, chunked)] = TR._batches(volumes[:n], params, n, "predict")
             np.testing.assert_array_equal(chunked.data, logits.data, err_msg=f"n={n}")
-            probs = T.softmax(logits).data
+            probs = T.softmax(logits.data)
             np.testing.assert_array_equal(
                 TR.predict_probs(params, config, volumes[:n], n), probs, err_msg=f"n={n}")
             loss = float(T.softmax_cross_entropy(logits, labels[:n]).data)
@@ -412,7 +412,7 @@ class TestMicroBatches:
             logits = M.forward_logits(voxels[start : start + batch_size], params)
             passes.append(logits.data)
             batch_labels = labels[start : start + batch_size]
-            probs.append(T.softmax(logits).data)
+            probs.append(T.softmax(logits.data))
             loss_sum += (float(T.softmax_cross_entropy(logits, batch_labels).data)
                          * len(batch_labels))
             correct += int((M.predict_classes(logits.data) == batch_labels).sum())
@@ -487,7 +487,7 @@ class TestMicroBatches:
         params = M.ModelParams.initialize(config, seed=3)
         voxels = np.stack([v.voxels for v in train])
         labels = np.array([v.label for v in train])
-        log_probs = np.log(T.softmax(M.forward_logits(voxels, params)).data.astype(np.float64))
+        log_probs = np.log(T.softmax(M.forward_logits(voxels, params).data).astype(np.float64))
         expected = -log_probs[np.arange(67), labels].mean()
         result = TR.train(params, config, train, train[:3],
                           TR.TrainConfig(epochs=1, batch_size=67, seed=1))
@@ -676,7 +676,7 @@ class TestWorkerPool:
         voxels = np.random.default_rng(14).standard_normal((45,) + config.input_shape)
         volumes = [Volume(f"v{i}", 0, v) for i, v in enumerate(voxels)]
         np.testing.assert_allclose(TR.predict_probs(params, config, volumes, 40),
-                                   T.softmax(M.forward_logits(voxels, params)).data,
+                                   T.softmax(M.forward_logits(voxels, params).data),
                                    rtol=0, atol=1e-12)
 
     def test_inference_inside_an_open_tape_records_nothing(self):
